@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .datagen import DEFAULT_CARDINALITIES, ScenarioSpec, scenario_preset
 from .estimation import LOSS_KINDS, GreedyConfig
@@ -136,16 +136,19 @@ def _parse_calibration(block: dict, cap: int, cv: float, base_dir: str) -> Calib
         except (OSError, KeyError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot load informed calibration from '{full}': {exc}") from exc
         family = "explicit"
+    where = "prior.calibration."
+    p = _get(block, "p", 0.5 if family in ("geometric", "negbin") else None, float, where)
+    r = _get(block, "r", None, float, where)
     try:
         return CalibrationSpec(
             family=family,
             cap=cap,
             cv=cv,
-            p=block.get("p", 0.5 if family in ("geometric", "negbin") else None),
-            r=block.get("r"),
+            p=p,
+            r=r,
             pi=tuple(pi) if pi is not None else None,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"prior.calibration: {exc}") from exc
 
 
@@ -160,10 +163,9 @@ def _parse_prior(block: dict, base_dir: str) -> PriorConfig:
         if theta <= 0:
             raise ConfigError("'prior.theta' must be positive")
         return PriorConfig(family="epp", theta=theta)
-    cap = block.get("cap")
+    cap = _get(block, "cap", None, int, "prior.")
     if cap is None:
         raise ConfigError("'prior.cap' is required for the bbap family")
-    cap = int(cap)
     if cap < 2:
         raise ConfigError("'prior.cap' must be at least 2")
     cv = _get(block, "cv", 0.25, float, "prior.")
@@ -179,11 +181,11 @@ def _parse_likelihood(block: dict) -> LikelihoodConfig:
     mean = _get(block, "psi_prior_mean", 0.01, float, "likelihood.")
     sd = _get(block, "psi_prior_sd", 0.01, float, "likelihood.")
     eps = _get(block, "smoothing_eps", 0.01, float, "likelihood.")
-    psi_fixed = block.get("psi_fixed")
-    if psi_fixed is not None and isinstance(psi_fixed, (list, tuple)):
-        psi_fixed = tuple(float(p) for p in psi_fixed)
-    elif psi_fixed is not None:
-        psi_fixed = float(psi_fixed)
+    psi_fixed = _get(
+        block, "psi_fixed", None,
+        lambda v: tuple(float(p) for p in v) if isinstance(v, (list, tuple)) else float(v),
+        "likelihood.",
+    )
     try:
         return LikelihoodConfig(mean, sd, eps, psi_fixed)
     except ValueError as exc:
@@ -224,9 +226,10 @@ def _parse_estimation(block: dict) -> EstimationConfig:
     sweeps = _get(block, "sweeps", 100, int, "estimation.")
     if samples_used < 1 or sweeps < 1:
         raise ConfigError("'estimation.samples_used' and 'estimation.sweeps' must be positive")
-    max_clusters = block.get("max_clusters")
-    return EstimationConfig(losses, samples_used, sweeps,
-                            int(max_clusters) if max_clusters is not None else None)
+    max_clusters = _get(block, "max_clusters", None, int, "estimation.")
+    if max_clusters is not None and max_clusters < 1:
+        raise ConfigError("'estimation.max_clusters' must be at least 1")
+    return EstimationConfig(losses, samples_used, sweeps, max_clusters)
 
 
 def parse_config(
@@ -315,31 +318,9 @@ def resolved_dict(cfg: RunConfig) -> dict:
         "prior": {
             "family": cfg.prior.family,
         },
-        "likelihood": {
-            "psi_prior_mean": cfg.likelihood.psi_prior_mean,
-            "psi_prior_sd": cfg.likelihood.psi_prior_sd,
-            "smoothing_eps": cfg.likelihood.smoothing_eps,
-            "psi_fixed": list(cfg.likelihood.psi_fixed)
-            if isinstance(cfg.likelihood.psi_fixed, tuple)
-            else cfg.likelihood.psi_fixed,
-        },
-        "sampler": {
-            "iterations": cfg.sampler.iterations,
-            "burn_in": cfg.sampler.burn_in,
-            "thin": cfg.sampler.thin,
-            "chains": cfg.sampler.chains,
-            "move_mix": cfg.sampler.move_mix,
-            "chaperone_floor": cfg.sampler.chaperone_floor,
-            "inner_sweeps": cfg.sampler.inner_sweeps,
-            "snapshot_stride": cfg.sampler.snapshot_stride,
-            "check_every": cfg.sampler.check_every,
-        },
-        "estimation": {
-            "losses": list(cfg.estimation.losses),
-            "samples_used": cfg.estimation.samples_used,
-            "sweeps": cfg.estimation.sweeps,
-            "max_clusters": cfg.estimation.max_clusters,
-        },
+        "likelihood": asdict(cfg.likelihood),
+        "sampler": {k: v for k, v in asdict(cfg.sampler).items() if k != "seed"},
+        "estimation": asdict(cfg.estimation),
     }
     if cfg.prior.family == "epp":
         out["prior"]["theta"] = cfg.prior.theta

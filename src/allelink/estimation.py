@@ -17,13 +17,12 @@ recomputation.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .partitions import LinkageStructure, canonicalize
+from .partitions import LinkageStructure, canonicalize, contingency, pair_counts
 
 LOSS_KINDS = ("binder", "vi", "nid")
 
@@ -56,14 +55,10 @@ def pairwise_loss(a: LinkageStructure, b: LinkageStructure, kind: str) -> float:
     n = a.n
     if n < 2:
         return 0.0
-    joint = Counter(zip(a.assignments, b.assignments))
-    sizes_a = Counter(a.assignments)
-    sizes_b = Counter(b.assignments)
     if kind == "binder":
-        ta = sum(s * (s - 1) // 2 for s in sizes_a.values())
-        tb = sum(s * (s - 1) // 2 for s in sizes_b.values())
-        tab = sum(m * (m - 1) // 2 for m in joint.values())
+        ta, tb, tab = pair_counts(a, b)
         return (ta + tb - 2 * tab) / (n * (n - 1) // 2)
+    joint, sizes_a, sizes_b = contingency(a, b)
     ha = -sum(s / n * math.log(s / n) for s in sizes_a.values())
     hb = -sum(s / n * math.log(s / n) for s in sizes_b.values())
     info = sum(

@@ -15,24 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partitions import AllelicPartition, LinkageStructure, matched_pairs, to_allelic
+from .partitions import AllelicPartition, LinkageStructure, fnr_fdr, to_allelic
 from .mcmc import PosteriorTrace
 
 _QUANTILES = (5, 25, 50, 75, 95)
-
-
-def fnr_fdr(estimate: LinkageStructure, truth: LinkageStructure) -> tuple[float, float]:
-    """Pairwise false-negative and false-discovery rates, 0/0 defined as 0."""
-    if estimate.n != truth.n:
-        raise ValueError("estimate and truth must have the same length")
-    declared = matched_pairs(estimate)
-    actual = matched_pairs(truth)
-    tp = len(declared & actual)
-    fn = len(actual) - tp
-    fp = len(declared) - tp
-    fnr = fn / (tp + fn) if tp + fn else 0.0
-    fdr = fp / (tp + fp) if tp + fp else 0.0
-    return fnr, fdr
 
 
 def js_distance(a: AllelicPartition, b: AllelicPartition) -> float:

@@ -129,24 +129,12 @@ def make_dataset(
 
 
 @dataclass
-class LatentEntities:
-    """True attribute codes, one row per active cluster."""
-
-    attributes: np.ndarray
-
-    @property
-    def n_clusters(self) -> int:
-        return self.attributes.shape[0]
-
-
-@dataclass
 class DistortionState:
-    """Per-field distortion probabilities, their Beta prior, and indicators."""
+    """Per-field distortion probabilities and their Beta prior."""
 
     psi: np.ndarray
     prior_a: np.ndarray
     prior_b: np.ndarray
-    indicators: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -262,4 +250,4 @@ def resample_distortion(
     indicators = mismatch | (rng.random((n, n_fields)) < p_on)
     on = indicators.sum(axis=0)
     psi = rng.beta(state.prior_a + on, state.prior_b + n - on)
-    return DistortionState(psi, state.prior_a, state.prior_b, indicators.astype(np.uint8))
+    return DistortionState(psi, state.prior_a, state.prior_b)

@@ -19,11 +19,13 @@ import numpy as np
 from . import likelihood as lik
 from . import priors
 from .likelihood import Dataset, DistortionState, LikelihoodConfig
-from .partitions import LinkageStructure, canonicalize
+from .partitions import LinkageStructure, canonicalize, fnr_fdr
 from .priors import BbapParams, PriorParams
 
 NEG_INF = float("-inf")
 _NEW = -1
+# memory budget of one chain's reallocation-factor cache
+FACTOR_CACHE_BYTES = 64 * 2**20
 
 
 @dataclass(frozen=True)
@@ -115,11 +117,6 @@ class PairSampler:
         return int(self.rows[idx]), int(self.cols[idx])
 
 
-def similarity_weights(dataset: Dataset, floor: float = 0.1) -> PairSampler:
-    """Build the pair-selection distribution for the chaperone move."""
-    return PairSampler(dataset, floor)
-
-
 class ChainState:
     """Mutable sampler state for a single chain; owned by that chain only.
 
@@ -166,6 +163,9 @@ class ChainState:
                 dataset.values[i], self.distortion.psi, self.freqs, rng
             )
         self._factor_cache: dict[bytes, tuple[np.ndarray, float]] = {}
+        # an entry holds a size-count key of cap + 2 ints and cap + 1 join factors
+        entry_bytes = 8 * (self.cap + 2) + 8 * (self.cap + 1)
+        self._factor_cache_limit = min(100_000, FACTOR_CACHE_BYTES // entry_bytes)
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -224,7 +224,7 @@ class ChainState:
         hit = self._factor_cache.get(key)
         if hit is None:
             hit = priors._realloc_log_factors(self.size_counts, int(self.n - 1), self.prior)
-            if len(self._factor_cache) > 100_000:
+            if len(self._factor_cache) >= self._factor_cache_limit:
                 self._factor_cache.clear()
             self._factor_cache[key] = hit
         return hit
@@ -412,23 +412,6 @@ def chaperones_step(
 # chain driver
 
 
-def _pair_error_rates(
-    assign: np.ndarray, sizes: np.ndarray, k: int, truth: LinkageStructure
-) -> tuple[float, float]:
-    """Pairwise miss and false-discovery rates against a reference partition."""
-    joint: dict[tuple[int, int], int] = {}
-    t_assign = truth.assignments
-    for i in range(len(t_assign)):
-        key = (int(assign[i]), t_assign[i])
-        joint[key] = joint.get(key, 0) + 1
-    tp = sum(m * (m - 1) // 2 for m in joint.values())
-    declared = int(sum(int(s) * (int(s) - 1) // 2 for s in sizes[:k]))
-    true_pairs = sum(s * (s - 1) // 2 for s in truth.cluster_sizes())
-    fnr = (true_pairs - tp) / true_pairs if true_pairs else 0.0
-    fdr = (declared - tp) / declared if declared else 0.0
-    return fnr, fdr
-
-
 def run_chain(
     config: SamplerConfig,
     dataset: Dataset,
@@ -449,8 +432,12 @@ def run_chain(
     bounded = isinstance(prior, BbapParams)
     if bounded and prior.cap < 2:
         raise ValueError("prior cap too small")
+    # the O(n^2) pair sampler is built only if a chaperone step can be drawn;
+    # the move draw below consumes one uniform per sweep either way
     pair_sampler = (
-        similarity_weights(dataset, config.chaperone_floor) if dataset.n >= 2 else None
+        PairSampler(dataset, config.chaperone_floor)
+        if dataset.n >= 2 and config.move_mix > 0
+        else None
     )
     trace = PosteriorTrace(n=dataset.n)
     if truth is not None:
@@ -462,7 +449,7 @@ def run_chain(
         state = ChainState(dataset, prior, like_config, rng)
         kept = 0
         for it in range(config.iterations):
-            if pair_sampler is not None and rng.random() < config.move_mix:
+            if dataset.n >= 2 and rng.random() < config.move_mix:
                 chaperones_step(state, pair_sampler, rng, config.inner_sweeps)
             else:
                 reallocation_pass(state, rng)
@@ -485,9 +472,7 @@ def run_chain(
             trace.psi.append(tuple(float(p) for p in state.distortion.psi))
             trace.log_joint.append(state.log_joint())
             if truth is not None:
-                fnr, fdr = _pair_error_rates(
-                    state.assign, state.sizes, state.n_clusters, truth
-                )
+                fnr, fdr = fnr_fdr(state.assign.tolist(), truth)
                 trace.fnr.append(fnr)
                 trace.fdr.append(fdr)
             if kept % config.snapshot_stride == 0:

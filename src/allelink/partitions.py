@@ -3,15 +3,18 @@
 A linkage structure assigns every record to a latent entity and induces a
 set partition of the record indices.  The allelic partition summarizes a
 set partition by counting the clusters of each size; it is the coordinate
-system the priors work in.  The brute-force enumerator here backs the
-correctness tests of every downstream module.
+system the priors work in.  The contingency table between two labelings
+is the one place co-clustered pairs are counted: pairwise error rates and
+every partition loss are functions of it.  The brute-force enumerator and
+pair lister here back the correctness tests of every downstream module.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, Union
 
 ENUMERATION_LIMIT = 12
 
@@ -204,3 +207,37 @@ def matched_pairs(xi: LinkageStructure) -> frozenset[tuple[int, int]]:
             for b in range(a + 1, len(members)):
                 pairs.append((members[a], members[b]))
     return frozenset(pairs)
+
+
+Labels = Union[LinkageStructure, Sequence[int]]
+
+
+def contingency(a: Labels, b: Labels) -> tuple[Counter, Counter, Counter]:
+    """Joint cell counts of two labelings of the same records, and both marginals.
+
+    Cells are keyed (label in a, label in b); every counter lists its keys
+    in first-appearance order, so float sums over them are reproducible.
+    """
+    a = a.assignments if isinstance(a, LinkageStructure) else a
+    b = b.assignments if isinstance(b, LinkageStructure) else b
+    if len(a) != len(b):
+        raise ValueError("labelings must have the same length")
+    return Counter(zip(a, b)), Counter(a), Counter(b)
+
+
+def _pairs(sizes: Counter) -> int:
+    return sum(m * (m - 1) // 2 for m in sizes.values())
+
+
+def pair_counts(a: Labels, b: Labels) -> tuple[int, int, int]:
+    """Co-clustered record pairs in a, in b, and in both."""
+    joint, sizes_a, sizes_b = contingency(a, b)
+    return _pairs(sizes_a), _pairs(sizes_b), _pairs(joint)
+
+
+def fnr_fdr(estimate: Labels, truth: Labels) -> tuple[float, float]:
+    """Pairwise false-negative and false-discovery rates, 0/0 defined as 0."""
+    declared, actual, both = pair_counts(estimate, truth)
+    fnr = (actual - both) / actual if actual else 0.0
+    fdr = (declared - both) / declared if declared else 0.0
+    return fnr, fdr

@@ -223,12 +223,6 @@ def log_density_bbap_linkage(xi: LinkageStructure, params: BbapParams) -> float:
     return -log_allelic_class_size(r) + log_density_bbap_allelic(r, params)
 
 
-def log_density_linkage(xi: LinkageStructure, params: PriorParams) -> float:
-    if isinstance(params, BbapParams):
-        return log_density_bbap_linkage(xi, params)
-    return log_density_epp_linkage(xi, params)
-
-
 # ---------------------------------------------------------------------------
 # sampling
 

@@ -234,3 +234,24 @@ class TestPipeline:
         assert main(["run", "--config", config2]) == EXIT_OK
         assert (tmp_path / "out" / "records.csv").read_bytes() == records
         assert (tmp_path / "config.json").read_bytes() == config_bytes
+
+    @pytest.mark.parametrize(
+        "block, value, key",
+        [
+            ("prior", {"family": "bbap", "cap": "abc"}, "prior.cap"),
+            ("estimation", {"max_clusters": "abc"}, "estimation.max_clusters"),
+            ("estimation", {"max_clusters": 0}, "estimation.max_clusters"),
+            ("likelihood", {"psi_fixed": "abc"}, "likelihood.psi_fixed"),
+            ("prior", {"family": "bbap", "cap": 6, "calibration": {"p": "x"}},
+             "prior.calibration.p"),
+            ("prior", {"family": "bbap", "cap": 6,
+                       "calibration": {"family": "negbin", "r": "x", "p": 0.5}},
+             "prior.calibration.r"),
+        ],
+    )
+    def test_malformed_value_is_config_error_naming_key(self, tmp_path, capsys, block, value, key):
+        body = pipeline_config(tmp_path)
+        body[block] = value
+        config_path = write_config(tmp_path, body)
+        assert main(["run", "--config", config_path]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err

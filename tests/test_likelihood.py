@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from allelink.likelihood import (
     Dataset,
@@ -191,14 +192,19 @@ class TestResampleEntities:
 
 class TestResampleDistortion:
     def test_mismatch_forces_indicator(self, rng):
+        # every record mismatches its entity, so every indicator is on and
+        # psi is drawn from Beta(a + n, b) exactly, whatever the current psi
         values = np.array([[0], [1], [0]])
-        entity_rows = np.array([[1], [1], [0]])
-        state = DistortionState(np.array([0.5]), np.array([1.0]), np.array([1.0]))
+        entity_rows = np.array([[1], [0], [1]])
+        state = DistortionState(np.array([0.05]), np.array([1.0]), np.array([2.0]))
         freqs = [np.array([0.5, 0.5])]
-        new = resample_distortion(values, entity_rows, freqs, state, rng)
-        assert new.indicators[0, 0] == 1
-        assert new.indicators[1, 0] == 0 or new.indicators[1, 0] == 1  # match may toggle
-        assert (values != entity_rows)[new.indicators == 0].sum() == 0
+        draws = [
+            resample_distortion(values, entity_rows, freqs, state, rng).psi[0]
+            for _ in range(2000)
+        ]
+        assert stats.kstest(draws, stats.beta(1.0 + 3, 2.0).cdf).pvalue > 1e-3
+        # with one indicator left off psi would follow Beta(a + 2, b + 1) instead
+        assert stats.kstest(draws, stats.beta(1.0 + 2, 2.0 + 1).cdf).pvalue < 1e-6
 
     def test_all_match_low_distortion_stays_low(self, rng):
         values = np.zeros((50, 1), dtype=int)

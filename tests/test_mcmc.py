@@ -4,9 +4,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from allelink import mcmc, priors
 from allelink.likelihood import LikelihoodConfig, make_dataset
 from allelink.mcmc import (
     ChainState,
+    PairSampler,
     PosteriorTrace,
     SamplerConfig,
     chaperones_step,
@@ -15,11 +17,10 @@ from allelink.mcmc import (
     read_trace_jsonl,
     reallocation_pass,
     run_chain,
-    similarity_weights,
     write_snapshots_csv,
     write_trace_jsonl,
 )
-from allelink.partitions import LinkageStructure
+from allelink.partitions import LinkageStructure, matched_pairs
 from allelink.priors import BbapParams, CalibrationSpec, EppParams, calibrate_recursive
 
 from conftest import exact_partition_posterior, tv_distance
@@ -37,19 +38,19 @@ def small_prior(cap=3, n=5):
 class TestSimilarityWeights:
     def test_identical_and_discordant_records(self):
         values = np.array([[0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [1, 2, 3, 4, 0]])
-        ps = similarity_weights(make_dataset(values), floor=0.1)
+        ps = PairSampler(make_dataset(values), floor=0.1)
         assert math.isclose(ps.weight(0, 1), 5.1)
         assert math.isclose(ps.weight(0, 2), 0.1)
 
     def test_total_weight(self):
         values = np.array([[0], [0], [1]])
-        ps = similarity_weights(make_dataset(values), floor=0.1)
+        ps = PairSampler(make_dataset(values), floor=0.1)
         # pairs: (0,1) share one field, (0,2) and (1,2) share none
         assert math.isclose(ps.total, 1.1 + 0.1 + 0.1)
 
     def test_every_pair_reachable(self, rng):
         values = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
-        ps = similarity_weights(make_dataset(values), floor=0.1)
+        ps = PairSampler(make_dataset(values), floor=0.1)
         seen = {ps.sample(rng) for _ in range(2000)}
         assert seen == {(i, j) for i in range(4) for j in range(i + 1, 4)}
 
@@ -83,7 +84,7 @@ class TestMoves:
         ds = make_dataset(values, cardinalities=(2, 2))
         prior = small_prior(cap=2, n=8)
         state = ChainState(ds, prior, LikelihoodConfig(psi_fixed=0.05), rng)
-        ps = similarity_weights(ds)
+        ps = PairSampler(ds)
         for _ in range(500):
             if rng.random() < 0.5:
                 chaperones_step(state, ps, rng, 3)
@@ -118,7 +119,7 @@ class TestMoves:
     def test_consistency_check_passes_under_stress(self, rng):
         ds = small_dataset()
         state = ChainState(ds, small_prior(), LikelihoodConfig(), rng)
-        ps = similarity_weights(ds)
+        ps = PairSampler(ds)
         for step in range(300):
             if rng.random() < 0.7:
                 chaperones_step(state, ps, rng, 4)
@@ -166,16 +167,17 @@ class TestRunChain:
         assert len(trace.snapshots) == 2 * math.ceil(kept_per_chain / 5)
 
     def test_truth_adds_error_rates_consistent_with_pairsets(self):
-        from allelink.evaluation import fnr_fdr
-
         ds = small_dataset()
         truth = LinkageStructure((1, 1, 2, 3, 3))
+        actual = matched_pairs(truth)
         cfg = SamplerConfig(iterations=60, burn_in=20, chains=1, seed=4,
                             check_every=50, snapshot_stride=1)
         trace = run_chain(cfg, ds, small_prior(), LikelihoodConfig(), truth)
         assert trace.fnr is not None and len(trace.fnr) == len(trace)
         for chain, it, xi in trace.snapshots:
-            fnr, fdr = fnr_fdr(xi, truth)
+            declared = matched_pairs(xi)
+            fnr = len(actual - declared) / len(actual)
+            fdr = len(declared - actual) / len(declared) if declared else 0.0
             row = trace.iters.index(it)
             assert math.isclose(trace.fnr[row], fnr, abs_tol=1e-12)
             assert math.isclose(trace.fdr[row], fdr, abs_tol=1e-12)
@@ -219,6 +221,34 @@ class TestRunChain:
         assert len(trace) == 150
         # size counts are trimmed to the largest occupied size
         assert all(r[-1] > 0 for r in trace.size_counts)
+
+    def test_no_pair_sampler_without_chaperone_moves(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("pair sampler built at move_mix 0")
+
+        monkeypatch.setattr(mcmc.PairSampler, "__init__", refuse)
+        cfg = SamplerConfig(iterations=30, burn_in=10, chains=2, seed=5, move_mix=0.0)
+        trace = run_chain(cfg, small_dataset(), small_prior(), LikelihoodConfig())
+        assert len(trace) == 40
+
+    def test_factor_cache_stays_within_its_byte_budget(self, rng, monkeypatch):
+        ds = small_dataset()
+        # an EPP entry spans cap = n sizes: 8 (n + 2) key bytes plus 8 (n + 1) factors
+        monkeypatch.setattr(mcmc, "FACTOR_CACHE_BYTES", 3 * (16 * ds.n + 24))
+        state = ChainState(ds, EppParams(1.0), LikelihoodConfig(), rng)
+        assert state._factor_cache_limit == 3
+        calls = []
+
+        def stub(size_counts, n_minus, params):
+            calls.append(1)
+            return np.zeros(ds.n + 1), 0.0
+
+        monkeypatch.setattr(priors, "_realloc_log_factors", stub)
+        for step in range(20):
+            state.size_counts[1] = step  # a fresh key every time
+            state._prior_factors()
+            assert 1 <= len(state._factor_cache) <= 3
+        assert len(calls) == 20
 
 
 def _ess(x: np.ndarray) -> float:

@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from allelink.estimation import pairwise_loss
 from allelink.partitions import (
     AllelicPartition,
     CapViolationError,
     LinkageStructure,
     allelic_class_size,
     canonicalize,
+    contingency,
     enumerate_partitions,
+    fnr_fdr,
     log_allelic_class_size,
     matched_pairs,
+    pair_counts,
     to_allelic,
 )
 
@@ -144,6 +148,30 @@ class TestMatchedPairs:
             xi = canonicalize(rng.integers(0, 4, size=9))
             expected = sum(s * (s - 1) // 2 for s in xi.cluster_sizes())
             assert len(matched_pairs(xi)) == expected
+
+
+class TestContingency:
+    def test_cells_and_marginals_in_first_appearance_order(self):
+        joint, sizes_a, sizes_b = contingency((2, 2, 1, 3, 2), (1, 2, 2, 1, 1))
+        assert list(joint.items()) == [((2, 1), 2), ((2, 2), 1), ((1, 2), 1), ((3, 1), 1)]
+        assert list(sizes_a.items()) == [(2, 3), (1, 1), (3, 1)]
+        assert list(sizes_b.items()) == [(1, 3), (2, 2)]
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            contingency((1, 1), (1, 2, 3))
+
+    def test_agrees_with_pair_sets_on_every_pair_of_partitions(self):
+        # brute-force frozensets of pairs are the oracle; n = 5 has C(5, 2) = 10 pairs
+        parts = list(enumerate_partitions(5))
+        pair_sets = [matched_pairs(xi) for xi in parts]
+        for a, pa in zip(parts, pair_sets):
+            for b, pb in zip(parts, pair_sets):
+                assert pair_counts(a, b) == (len(pa), len(pb), len(pa & pb))
+                fnr = len(pb - pa) / len(pb) if pb else 0.0
+                fdr = len(pa - pb) / len(pa) if pa else 0.0
+                assert fnr_fdr(a, b) == (fnr, fdr)
+                assert pairwise_loss(a, b, "binder") == len(pa ^ pb) / 10
 
 
 class TestAllelicPartitionType:
