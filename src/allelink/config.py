@@ -72,7 +72,13 @@ class RunConfig:
     resolved: dict = field(repr=False, default_factory=dict)
 
 
+def _require_object(block, name: str) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be a JSON object, not {type(block).__name__}")
+
+
 def _reject_unknown(block: dict, allowed: set[str], where: str) -> None:
+    _require_object(block, f"'{where[:-1]}'" if where else "the config document")
     for key in block:
         if key not in allowed:
             raise ConfigError(f"unknown config key '{where}{key}'")
@@ -218,7 +224,10 @@ def _parse_sampler(block: dict, seed: int) -> SamplerConfig:
 def _parse_estimation(block: dict) -> EstimationConfig:
     allowed = {"losses", "samples_used", "sweeps", "max_clusters"}
     _reject_unknown(block, allowed, "estimation.")
-    losses = tuple(block.get("losses", list(LOSS_KINDS)))
+    losses = block.get("losses", list(LOSS_KINDS))
+    if not isinstance(losses, list) or not all(isinstance(v, str) for v in losses):
+        raise ConfigError("'estimation.losses' must be a list of loss names")
+    losses = tuple(losses)
     for loss in losses:
         if loss not in LOSS_KINDS:
             raise ConfigError(f"'estimation.losses' entry '{loss}' is not one of {LOSS_KINDS}")
@@ -254,16 +263,19 @@ def parse_config(
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config '{path}' is not valid JSON: {exc}") from exc
         base_dir = os.path.dirname(os.path.abspath(path))
+    _require_object(raw, "the config document")
     if "config" in raw and "config_hash" in raw:
         command = command or raw.get("command")
         raw = raw["config"]
+        _require_object(raw, "the manifest's 'config'")
     for key, value in (overrides or {}).items():
         if value is None:
             continue
         block = raw
         parts = key.split(".")
-        for part in parts[:-1]:
+        for depth, part in enumerate(parts[:-1]):
             block = block.setdefault(part, {})
+            _require_object(block, f"'{'.'.join(parts[:depth + 1])}'")
         block[parts[-1]] = value
 
     allowed = {

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_SMOOTHING = 0.01
+# fields per agree/disagree pattern table chunk (2^8 entries per chunk)
+PATTERN_CHUNK_FIELDS = 8
 
 
 def beta_from_mean_sd(mean: float, sd: float) -> tuple[float, float]:
@@ -141,6 +143,14 @@ class DistortionState:
 # field likelihoods
 
 
+def _record_freqs(values: np.ndarray, freqs: list[np.ndarray]) -> np.ndarray:
+    """Reference frequency of every record's observed value, records by fields."""
+    out = np.empty(values.shape)
+    for f in range(values.shape[1]):
+        out[:, f] = freqs[f][values[:, f]]
+    return out
+
+
 def record_loglik(
     x: np.ndarray, y: np.ndarray, psi: np.ndarray, freqs: list[np.ndarray]
 ) -> float:
@@ -156,26 +166,72 @@ def record_loglik(
     return float(out)
 
 
-def entity_logliks(
-    x: np.ndarray, entities: np.ndarray, psi: np.ndarray, freqs: list[np.ndarray]
-) -> np.ndarray:
-    """record_loglik of one record against every entity row at once."""
-    total = np.zeros(entities.shape[0])
+def pattern_weights(n_fields: int) -> np.ndarray:
+    """(F, C) matrix that maps an agreement row to its per-chunk pattern codes.
+
+    Fields are split in order into C chunks of at most PATTERN_CHUNK_FIELDS;
+    field f sets bit f % PATTERN_CHUNK_FIELDS of chunk f // PATTERN_CHUNK_FIELDS,
+    so every chunk's code fits in one byte.
+    """
+    f = np.arange(n_fields)
+    weights = np.zeros((n_fields, -(-n_fields // PATTERN_CHUNK_FIELDS)), dtype=np.uint8)
+    weights[f, f // PATTERN_CHUNK_FIELDS] = 1 << (f % PATTERN_CHUNK_FIELDS)
+    return weights
+
+
+def pattern_tables(values: np.ndarray, psi: np.ndarray, freqs: list[np.ndarray]) -> np.ndarray:
+    """Log likelihood of every record under every agree/disagree pattern.
+
+    Under the distortion model a field contributes log(psi theta_x + 1 - psi)
+    when the entity agrees with the record and log(psi theta_x) when it does
+    not, so a record's likelihood against any entity depends only on which
+    fields agree.  Entry [i, c, code] sums, in field order, the terms of
+    chunk c's fields for record i with agreement bits `code`; a single
+    chunk (F <= PATTERN_CHUNK_FIELDS) therefore holds record_loglik's value
+    bit for bit.
+    """
+    n, n_fields = values.shape
+    n_chunks = -(-n_fields // PATTERN_CHUNK_FIELDS)
+    bits = np.arange(1 << min(n_fields, PATTERN_CHUNK_FIELDS))
+    scaled = psi[None, :] * _record_freqs(values, freqs)
     with np.errstate(divide="ignore"):
-        for f in range(len(freqs)):
-            p = psi[f] * freqs[f][x[f]] + (1.0 - psi[f]) * (entities[:, f] == x[f])
-            total += np.log(p)
-    return total
+        miss = np.log(scaled)
+        hit = np.log(scaled + (1.0 - psi)[None, :])
+    out = np.zeros((n, n_chunks, len(bits)))
+    for f in range(n_fields):
+        chunk, bit = divmod(f, PATTERN_CHUNK_FIELDS)
+        agree = ((bits >> bit) & 1).astype(bool)
+        out[:, chunk, :] += np.where(agree[None, :], hit[:, f, None], miss[:, f, None])
+    return out
 
 
-def new_cluster_marginal_loglik(x: np.ndarray, freqs: list[np.ndarray]) -> float:
+def entity_logliks(
+    x: np.ndarray, entities: np.ndarray, table: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """record_loglik of one record against every entity row at once.
+
+    table is the record's row of pattern_tables, C chunks by 2^min(F, 8)
+    patterns, and weights is pattern_weights(F); chunk subtotals are added
+    in chunk order.
+    """
+    codes = (entities == x).view(np.uint8) @ weights
+    out = table[0, codes[:, 0]]
+    for c in range(1, table.shape[0]):
+        out = out + table[c, codes[:, c]]
+    return out
+
+
+def new_cluster_marginal_loglik(
+    x: np.ndarray, freqs: list[np.ndarray]
+) -> float | np.ndarray:
     """Likelihood of a record with its entity integrated out.
 
     Averaging the record likelihood over entity values drawn from the
     reference frequencies collapses to the frequency of the observed value,
-    independent of the distortion probability.
+    independent of the distortion probability.  x is one record or a
+    records-by-fields table (one value per row).
     """
-    return float(sum(np.log(freqs[f][x[f]]) for f in range(len(freqs))))
+    return sum(np.log(freqs[f][x[..., f]]) for f in range(len(freqs)))
 
 
 def draw_singleton_entity(
@@ -242,10 +298,7 @@ def resample_distortion(
     """
     n, n_fields = values.shape
     mismatch = values != entity_rows
-    theta_x = np.empty((n, n_fields))
-    for f in range(n_fields):
-        theta_x[:, f] = freqs[f][values[:, f]]
-    scaled = state.psi[None, :] * theta_x
+    scaled = state.psi[None, :] * _record_freqs(values, freqs)
     p_on = scaled / (scaled + (1.0 - state.psi)[None, :])
     indicators = mismatch | (rng.random((n, n_fields)) < p_on)
     on = indicators.sum(axis=0)

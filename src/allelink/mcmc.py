@@ -162,6 +162,13 @@ class ChainState:
             self.entities[i] = lik.draw_singleton_entity(
                 dataset.values[i], self.distortion.psi, self.freqs, rng
             )
+        # a constant of the data: the entity integrates out of a new cluster
+        self._new_logliks = lik.new_cluster_marginal_loglik(dataset.values, self.freqs)
+        # per-record pattern log likelihoods, rebuilt after self.distortion is
+        # replaced (the sampler swaps in a new DistortionState, never edits one)
+        self._pattern_weights = lik.pattern_weights(n_fields)
+        self._tables: np.ndarray | None = None
+        self._tables_for: DistortionState | None = None
         self._factor_cache: dict[bytes, tuple[np.ndarray, float]] = {}
         # an entry holds a size-count key of cap + 2 ints and cap + 1 join factors
         entry_bytes = 8 * (self.cap + 2) + 8 * (self.cap + 1)
@@ -229,6 +236,14 @@ class ChainState:
             self._factor_cache[key] = hit
         return hit
 
+    def _pattern_tables(self) -> np.ndarray:
+        if self._tables_for is not self.distortion:
+            self._tables = lik.pattern_tables(
+                self.dataset.values, self.distortion.psi, self.freqs
+            )
+            self._tables_for = self.distortion
+        return self._tables
+
     # -- moves -----------------------------------------------------------
 
     def reallocate_record(self, i: int, rng: np.random.Generator) -> None:
@@ -240,9 +255,9 @@ class ChainState:
         logw = np.empty(k + 1)
         if k:
             logw[:k] = join[self.sizes[:k]] + lik.entity_logliks(
-                x, self.entities[:k], self.distortion.psi, self.freqs
+                x, self.entities[:k], self._pattern_tables()[i], self._pattern_weights
             )
-        logw[k] = new + lik.new_cluster_marginal_loglik(x, self.freqs)
+        logw[k] = new + self._new_logliks[i]
         choice = _sample_from_logw(logw, rng, new_index=k)
         self._insert_record(i, _NEW if choice == k else choice, rng)
 

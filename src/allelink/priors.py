@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lgamma, log
 from typing import Sequence, Union
 
@@ -36,6 +37,10 @@ NEG_INF = float("-inf")
 # Beta means are clamped away from {0, 1} during calibration so that the
 # derived shapes stay finite.
 _MEAN_FLOOR = 1e-6
+
+# entries memoised by _log_beta_binomial; the sampler's reallocation factors
+# revisit a few thousand (count, trials) pairs per size
+_BETA_BINOMIAL_MEMO = 4096
 
 
 @dataclass(frozen=True)
@@ -124,6 +129,7 @@ class CalibrationSpec:
 # unused) so the sampler can evaluate them without building objects.
 
 
+@lru_cache(maxsize=_BETA_BINOMIAL_MEMO)
 def _log_beta_binomial(k: int, trials: int, a: float, b: float) -> float:
     if k < 0 or k > trials:
         return NEG_INF
@@ -172,13 +178,14 @@ def _log_allelic_counts_epp(size_counts: Sequence[int], n: int, params: EppParam
     theta = params.theta
     total = 0
     out = lgamma(n + 1) - (lgamma(theta + n) - lgamma(theta))
-    for s in range(1, len(size_counts)):
-        r_s = int(size_counts[s])
+    counts = np.asarray(size_counts)
+    # ascending sizes with a nonzero count, so the float sum keeps its order
+    for s in (np.flatnonzero(counts[1:]) + 1).tolist():
+        r_s = int(counts[s])
         if r_s < 0:
             return NEG_INF
-        if r_s:
-            total += s * r_s
-            out += r_s * log(theta) - r_s * log(s) - lgamma(r_s + 1)
+        total += s * r_s
+        out += r_s * log(theta) - r_s * log(s) - lgamma(r_s + 1)
     if total != n:
         return NEG_INF
     return out

@@ -72,6 +72,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="cv"):
             parse_config(path, command="run")
 
+    def test_document_must_be_an_object(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(["run"]))
+        with pytest.raises(ConfigError, match="config document must be a JSON object"):
+            parse_config(str(path), command="run")
+
+    def test_override_into_a_non_object_block_named(self, tmp_path):
+        path = write_config(tmp_path, {"sampler": "fast", "output_dir": "o", "dataset": "d"})
+        with pytest.raises(ConfigError, match="'sampler' must be a JSON object"):
+            parse_config(path, command="run", overrides={"sampler.iterations": 5})
+
     def test_missing_cap_rejected(self, tmp_path):
         path = write_config(
             tmp_path, {"prior": {"family": "bbap"}, "output_dir": "o", "dataset": "d"}
@@ -247,6 +258,11 @@ class TestPipeline:
             ("prior", {"family": "bbap", "cap": 6,
                        "calibration": {"family": "negbin", "r": "x", "p": 0.5}},
              "prior.calibration.r"),
+            ("estimation", {"losses": 5}, "'estimation.losses' must be a list"),
+            ("estimation", {"losses": "vi"}, "'estimation.losses' must be a list"),
+            ("sampler", "fast", "'sampler' must be a JSON object"),
+            ("prior", {"family": "bbap", "cap": 6, "calibration": "geometric"},
+             "'prior.calibration' must be a JSON object"),
         ],
     )
     def test_malformed_value_is_config_error_naming_key(self, tmp_path, capsys, block, value, key):

@@ -15,6 +15,8 @@ from allelink.likelihood import (
     entity_logliks,
     make_dataset,
     new_cluster_marginal_loglik,
+    pattern_tables,
+    pattern_weights,
     record_loglik,
     resample_distortion,
     resample_entities,
@@ -83,16 +85,37 @@ class TestRecordLoglik:
                 total += math.exp(record_loglik(np.array(x), y, psi, freqs))
             assert math.isclose(total, 1.0, rel_tol=1e-10)
 
-    def test_vectorized_matches_scalar(self, rng):
-        dims = (3, 5)
+    @staticmethod
+    def _kernel_and_scalar(rng, dims, n_records=30, n_entities=50):
         freqs = [rng.dirichlet(np.ones(d)) for d in dims]
-        psi = np.array([0.1, 0.4])
-        entities = rng.integers(0, 3, size=(6, 2))
-        entities[:, 1] = rng.integers(0, 5, size=6)
-        x = np.array([2, 4])
-        vec = entity_logliks(x, entities, psi, freqs)
-        for k in range(6):
-            assert math.isclose(vec[k], record_loglik(x, entities[k], psi, freqs))
+        # every field's distortion is 0, 1 or strictly between
+        psi = rng.uniform(size=len(dims))
+        pinned = rng.integers(0, 3, size=len(dims))
+        psi[pinned == 0] = 0.0
+        psi[pinned == 1] = 1.0
+        values = np.column_stack([rng.integers(0, d, size=n_records) for d in dims])
+        entities = np.column_stack([rng.integers(0, d, size=n_entities) for d in dims])
+        tables = pattern_tables(values, psi, freqs)
+        weights = pattern_weights(len(dims))
+        for x, table in zip(values, tables):
+            vec = entity_logliks(x, entities, table, weights)
+            scalar = np.array([record_loglik(x, y, psi, freqs) for y in entities])
+            yield vec, scalar
+
+    def test_vectorized_matches_scalar(self, rng):
+        # equal bit for bit while every field sits in one pattern chunk
+        for dims in [(3, 5), (2, 4, 3, 2, 5), (2, 3, 2, 3, 2, 3, 2, 3)]:
+            for _ in range(10):
+                for vec, scalar in self._kernel_and_scalar(rng, dims):
+                    assert np.array_equal(vec, scalar)
+
+    def test_vectorized_matches_scalar_over_field_chunks(self, rng):
+        # ten fields take two pattern chunks, whose subtotals are added last
+        dims = (2, 3, 2, 4, 2, 3, 2, 2, 3, 2)
+        assert pattern_weights(len(dims)).shape == (10, 2)
+        for _ in range(10):
+            for vec, scalar in self._kernel_and_scalar(rng, dims):
+                np.testing.assert_allclose(vec, scalar, rtol=1e-12)
 
 
 class TestNewClusterMarginal:
@@ -124,6 +147,13 @@ class TestNewClusterMarginal:
         x = np.array([0, 5, 2])
         per_field = sum(math.log(freqs[f][x[f]]) for f in range(3))
         assert math.isclose(new_cluster_marginal_loglik(x, freqs), per_field)
+
+    def test_table_of_records_matches_each_record(self, rng):
+        dims = (4, 6, 3)
+        freqs = [rng.dirichlet(np.ones(d)) for d in dims]
+        values = np.column_stack([rng.integers(0, d, size=40) for d in dims])
+        per_record = [new_cluster_marginal_loglik(x, freqs) for x in values]
+        assert np.array_equal(new_cluster_marginal_loglik(values, freqs), per_record)
 
 
 class TestResampleEntities:

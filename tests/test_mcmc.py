@@ -1,3 +1,4 @@
+import copy
 import math
 from collections import Counter
 
@@ -5,7 +6,13 @@ import numpy as np
 import pytest
 
 from allelink import mcmc, priors
-from allelink.likelihood import LikelihoodConfig, make_dataset
+from allelink.likelihood import (
+    DistortionState,
+    LikelihoodConfig,
+    make_dataset,
+    new_cluster_marginal_loglik,
+    record_loglik,
+)
 from allelink.mcmc import (
     ChainState,
     PairSampler,
@@ -129,6 +136,64 @@ class TestMoves:
             state.resample_distortion(rng)
             if step % 25 == 0:
                 state.consistency_check()
+
+
+def scalar_reallocation_choice(state, i, rng):
+    """Where reallocate_record must put record i, from the scalar likelihood.
+
+    Runs the removal on a copy of the state, scores every remaining cluster
+    with record_loglik and a new one with the record's marginal, and makes
+    the draw with a copy of the generator.
+    """
+    ref = copy.deepcopy(state)
+    ref._remove_record(i)
+    x = ref.dataset.values[i]
+    join, new = priors._realloc_log_factors(ref.size_counts, ref.n - 1, ref.prior)
+    k = ref.n_clusters
+    logw = np.empty(k + 1)
+    for c in range(k):
+        logw[c] = join[ref.sizes[c]] + record_loglik(
+            x, ref.entities[c], ref.distortion.psi, ref.freqs
+        )
+    logw[k] = new + new_cluster_marginal_loglik(x, ref.freqs)
+    return mcmc._sample_from_logw(logw, copy.deepcopy(rng), new_index=k)
+
+
+class TestTableKernelDraws:
+    def _check_pass(self, state, rng):
+        for i in range(state.n):
+            expected = scalar_reallocation_choice(state, i, rng)
+            state.reallocate_record(i, rng)
+            # a new cluster takes the id after the remaining ones
+            assert state.assign[i] == expected
+
+    def _state(self, psi_fixed):
+        rng = np.random.default_rng(11)
+        values = rng.integers(0, 3, size=(12, 3))
+        ds = make_dataset(values, cardinalities=(3, 3, 3))
+        prior = small_prior(cap=4, n=12)
+        return ChainState(ds, prior, LikelihoodConfig(psi_fixed=psi_fixed), rng), rng
+
+    def test_same_draws_as_the_scalar_likelihood(self):
+        state, rng = self._state(None)
+        for _ in range(4):
+            self._check_pass(state, rng)
+            state.resample_entities(rng)
+            state.resample_distortion(rng)
+
+    def test_same_draws_after_the_distortion_is_replaced(self):
+        state, rng = self._state(None)
+        self._check_pass(state, rng)
+        d = state.distortion
+        state.distortion = DistortionState(np.array([0.6, 0.3, 0.9]), d.prior_a, d.prior_b)
+        self._check_pass(state, rng)
+
+    def test_same_draws_without_distortion(self):
+        state, rng = self._state(0.0)
+        for _ in range(4):
+            self._check_pass(state, rng)
+            state.resample_entities(rng)
+            state.resample_distortion(rng)
 
 
 class TestExactPosterior:

@@ -27,6 +27,7 @@ from allelink.priors import (
     singleton_moments_m2,
     size_target_distribution,
     _log_allelic_counts_bbap,
+    _log_allelic_counts_epp,
 )
 
 from conftest import tv_distance
@@ -100,6 +101,33 @@ class TestEppDensities:
             assert math.isclose(
                 via_factors, log_density_epp_linkage(xi, params), rel_tol=0, abs_tol=1e-12
             )
+
+    def test_size_count_density_equals_the_loop_over_every_size(self, rng):
+        # reference: the loop over all sizes 1..len - 1, skipping zero counts
+        def every_size(size_counts, n, theta):
+            total = 0
+            out = math.lgamma(n + 1) - (math.lgamma(theta + n) - math.lgamma(theta))
+            for s in range(1, len(size_counts)):
+                r_s = int(size_counts[s])
+                if r_s < 0:
+                    return float("-inf")
+                if r_s:
+                    total += s * r_s
+                    out += r_s * math.log(theta) - r_s * math.log(s) - math.lgamma(r_s + 1)
+            return out if total == n else float("-inf")
+
+        for _ in range(300):
+            counts = rng.integers(0, 4, size=rng.integers(2, 40))
+            counts[rng.random(len(counts)) < 0.7] = 0
+            counts[0] = rng.integers(0, 3)  # entry 0 is ignored
+            n = int(np.arange(len(counts))[1:] @ counts[1:])
+            n += int(n == 0 or rng.random() < 0.1)  # sometimes a total that does not match
+            if rng.random() < 0.1:
+                counts[rng.integers(1, len(counts))] = -1
+            theta = float(rng.uniform(0.2, 30.0))
+            for vec in (counts, counts.tolist()):
+                got = _log_allelic_counts_epp(vec, n, EppParams(theta))
+                assert got == every_size(counts, n, theta)
 
     def test_theta_must_be_positive(self):
         with pytest.raises(ValueError):
