@@ -99,31 +99,40 @@ def _parse_scenario(block: dict) -> ScenarioSpec:
     seed = _get(block, "seed", 0, int, "scenario.")
     clusters = _get(block, "clusters", 200, int, "scenario.")
     cards = tuple(_get(block, "cardinalities", DEFAULT_CARDINALITIES, lambda v: [int(x) for x in v], "scenario."))
-    psi = block.get("psi", 0.05)
-    if "id" in block and block["id"] is not None:
+    psi = _get(block, "psi", 0.05, _scalar_or_floats, "scenario.")
+    scenario_id = _get(block, "id", None, int, "scenario.")
+    if scenario_id is not None:
         try:
-            spec = scenario_preset(int(block["id"]), clusters, psi, cards, seed)
+            spec = scenario_preset(scenario_id, clusters, psi, cards, seed)
         except ValueError as exc:
             raise ConfigError(f"scenario: {exc}") from exc
         if "sizes" in block or "weights" in block:
             raise ConfigError("scenario: give either 'id' or explicit 'sizes'/'weights', not both")
         return spec
-    if "sizes" not in block or "weights" not in block:
+    sizes = _get(block, "sizes", None, lambda v: tuple(int(s) for s in v), "scenario.")
+    weights = _get(block, "weights", None, lambda v: tuple(float(w) for w in v), "scenario.")
+    if sizes is None or weights is None:
         raise ConfigError("scenario needs an 'id' or explicit 'sizes' and 'weights'")
-    if not isinstance(psi, (list, tuple)):
-        psi = tuple(float(psi) for _ in cards)
+    if isinstance(psi, float):
+        psi = tuple(psi for _ in cards)
     try:
         return ScenarioSpec(
             name="custom",
             n_clusters=clusters,
-            sizes=tuple(int(s) for s in block["sizes"]),
-            weights=tuple(float(w) for w in block["weights"]),
-            psi=tuple(float(p) for p in psi),
+            sizes=sizes,
+            weights=weights,
+            psi=psi,
             cardinalities=cards,
             seed=seed,
         )
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}") from exc
+
+
+def _scalar_or_floats(value) -> float | tuple[float, ...]:
+    if isinstance(value, (list, tuple)):
+        return tuple(float(p) for p in value)
+    return float(value)
 
 
 def _parse_calibration(block: dict, cap: int, cv: float, base_dir: str) -> CalibrationSpec:
@@ -294,6 +303,8 @@ def parse_config(
     if not output_dir:
         raise ConfigError("'output_dir' is required")
     dataset = raw.get("dataset")
+    if dataset is not None and not isinstance(dataset, str):
+        raise ConfigError(f"'dataset' must be a path string, not {type(dataset).__name__}")
     if dataset is not None and not os.path.isabs(dataset):
         dataset = os.path.join(base_dir, dataset)
     scenario = _parse_scenario(raw["scenario"]) if raw.get("scenario") else None

@@ -9,7 +9,7 @@ sweep makes no move.
 The sweep engine evaluates every candidate move against every sample at
 once.  All three losses depend on a candidate move only through the
 contingency counts between the candidate's clusters and the sample cluster
-of the moved record, so one records-by-samples match matrix per record
+of the moved record, so one bincount of the record's sample-cluster matches
 feeds table lookups of m log m differences instead of per-sample loss
 recomputation.
 """
@@ -138,18 +138,15 @@ class _GreedyEngine:
         self.init = init
         self.assign = np.array(init.assignments, dtype=np.int64) - 1
         self.n_clusters = init.n_clusters
-        width = max(self.max_clusters, self.n_clusters) + 1
-        self.onehot = np.zeros((self.n, width), dtype=np.float32)
-        self.onehot[np.arange(self.n), self.assign] = 1.0
-        self.sizes = np.bincount(self.assign, minlength=width).astype(np.int64)
+        # a search never holds more than n clusters
+        self.sizes = np.bincount(self.assign, minlength=self.n + 1)
 
         # phi(m) = m log m lookup and its forward difference, m = 0..n
         m = np.arange(self.n + 2, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             phi = m * np.log(m)
         phi[0] = 0.0
-        self.dphi = (phi[1:] - phi[:-1]).astype(np.float64)
-        self._phi = phi
+        self.dphi = phi[1:] - phi[:-1]
 
         if kind != "binder":
             self.sum_phi_sizes = float(phi[self.sizes[: self.n_clusters]].sum())
@@ -158,8 +155,9 @@ class _GreedyEngine:
             self.sample_phi = np.empty(self.n_samples)
             span = int(self.smat.max()) + 1
             for s in range(self.n_samples):
-                joint = np.bincount(self.assign * span + self.smat[s])
-                self.joint_phi[s] = phi[joint[joint > 0]].sum()
+                # counts in ascending cell order, as bincount's nonzero entries
+                _, joint = np.unique(self.assign * span + self.smat[s], return_counts=True)
+                self.joint_phi[s] = phi[joint].sum()
                 bsz = np.bincount(self.smat[s])
                 self.sample_phi[s] = phi[bsz[bsz > 0]].sum()
                 self.sample_entropy[s] = math.log(self.n) - self.sample_phi[s] / self.n
@@ -181,10 +179,12 @@ class _GreedyEngine:
     def _match_counts(self, i: int) -> np.ndarray:
         """Per-sample counts, excluding record i, of records sharing i's
         sample cluster within each current cluster."""
-        match = (self.smat == self.smat[:, i : i + 1]).astype(np.float32)
-        counts = match @ self.onehot[:, : self.n_clusters]
-        counts[:, self.assign[i]] -= 1.0
-        return np.rint(counts).astype(np.int64)
+        k = self.n_clusters
+        sample, record = np.nonzero(self.smat == self.smat[:, i : i + 1])
+        counts = np.bincount(sample * k + self.assign[record], minlength=self.n_samples * k)
+        counts = counts.reshape(self.n_samples, k)
+        counts[:, self.assign[i]] -= 1
+        return counts
 
     def _try_move(self, i: int) -> bool:
         a = int(self.assign[i])
@@ -259,11 +259,6 @@ class _GreedyEngine:
             held_t = 0
             joint_delta = -self.dphi[counts[:, a]]
             target = self.n_clusters
-            if target >= self.onehot.shape[1]:
-                self.onehot = np.hstack(
-                    [self.onehot, np.zeros((self.n, 8), dtype=np.float32)]
-                )
-                self.sizes = np.concatenate([self.sizes, np.zeros(8, dtype=np.int64)])
             self.n_clusters += 1
         else:
             held_t = int(self.sizes[target])
@@ -271,8 +266,6 @@ class _GreedyEngine:
         if self.kind != "binder":
             self.sum_phi_sizes += float(self.dphi[held_t] - self.dphi[held_a])
             self.joint_phi += joint_delta
-        self.onehot[i, a] = 0.0
-        self.onehot[i, target] = 1.0
         self.sizes[a] -= 1
         self.sizes[target] += 1
         self.assign[i] = target
@@ -280,9 +273,7 @@ class _GreedyEngine:
             last = self.n_clusters - 1
             if a != last:
                 self.assign[self.assign == last] = a
-                self.onehot[:, a] = self.onehot[:, last]
                 self.sizes[a] = self.sizes[last]
-            self.onehot[:, last] = 0.0
             self.sizes[last] = 0
             self.n_clusters = last
 

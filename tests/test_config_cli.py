@@ -263,6 +263,9 @@ class TestPipeline:
             ("sampler", "fast", "'sampler' must be a JSON object"),
             ("prior", {"family": "bbap", "cap": 6, "calibration": "geometric"},
              "'prior.calibration' must be a JSON object"),
+            ("scenario", {"sizes": [1, 2], "weights": [0.5, 0.5], "psi": "x"}, "scenario.psi"),
+            ("scenario", {"sizes": 5, "weights": [1.0]}, "scenario.sizes"),
+            ("dataset", 5, "'dataset' must be a path string"),
         ],
     )
     def test_malformed_value_is_config_error_naming_key(self, tmp_path, capsys, block, value, key):

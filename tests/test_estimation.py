@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from allelink.estimation import (
@@ -204,3 +206,24 @@ class TestGreedyEpl:
                     direct = expected_posterior_loss(cand, samples, kind)
                     # the estimate is a local minimum: no strict improvement
                     assert direct >= info["epl"] - 1e-9
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_memory_stays_linear_in_n(self, kind):
+        # about n/2 clusters per sample, as under a microclustering prior:
+        # any n-by-K buffer would take megabytes here
+        rng = np.random.default_rng(5)
+        n = 2000
+        pairs = np.arange(n) // 2
+        samples = []
+        for _ in range(3):
+            labels = pairs.copy()
+            moved = rng.choice(n, 100, replace=False)
+            labels[moved] = rng.integers(0, n // 2, size=100)
+            samples.append(canonicalize(labels))
+        tracemalloc.start()
+        try:
+            greedy_epl(samples, kind, GreedyConfig(sweeps=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"greedy {kind} peaked at {peak / 2**20:.1f} MiB"

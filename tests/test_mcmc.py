@@ -138,6 +138,52 @@ class TestMoves:
                 state.consistency_check()
 
 
+def _move_a_listed_member(state):
+    donor = next(k for k in range(state.n_clusters) if state.sizes[k] >= 2)
+    receiver = (donor + 1) % state.n_clusters
+    state.members[receiver].append(state.members[donor].pop())
+
+
+def _grow_a_size(state):
+    state.sizes[0] += 1
+
+
+def _shift_a_size_count(state):
+    s = int(np.flatnonzero(state.size_counts)[0])
+    state.size_counts[s] -= 1
+    state.size_counts[s + 1] += 1
+
+
+def _nan_psi(state):
+    d = state.distortion
+    psi = d.psi.copy()
+    psi[0] = np.nan
+    state.distortion = DistortionState(psi, d.prior_a, d.prior_b)
+
+
+class TestConsistencyCheckDetects:
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (_move_a_listed_member, "membership lists"),
+            (_grow_a_size, "cluster sizes"),
+            (_shift_a_size_count, "size counts"),
+            (_nan_psi, "NaN"),
+        ],
+        ids=["member-moved", "size-off-by-one", "size-count-shifted", "nan-psi"],
+    )
+    def test_corrupted_state_raises(self, rng, corrupt, message):
+        ds = small_dataset()
+        state = ChainState(ds, small_prior(), LikelihoodConfig(), rng)
+        while state.max_cluster_size() < 2:
+            reallocation_pass(state, rng)
+            state.resample_entities(rng)
+        state.consistency_check()
+        corrupt(state)
+        with pytest.raises(RuntimeError, match=message):
+            state.consistency_check()
+
+
 def scalar_reallocation_choice(state, i, rng):
     """Where reallocate_record must put record i, from the scalar likelihood.
 
