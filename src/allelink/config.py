@@ -142,8 +142,8 @@ def _parse_calibration(block: dict, cap: int, cv: float, base_dir: str) -> Calib
     pi = block.get("pi")
     if family == "informed":
         path = block.get("path")
-        if not path:
-            raise ConfigError("prior.calibration.path is required for the informed family")
+        if not path or not isinstance(path, str):
+            raise ConfigError("'prior.calibration.path' must name a file for the informed family")
         full = path if os.path.isabs(path) else os.path.join(base_dir, path)
         try:
             with open(full) as fh:
@@ -300,8 +300,8 @@ def parse_config(
     if draws < 1:
         raise ConfigError("'draws' must be positive")
     output_dir = raw.get("output_dir")
-    if not output_dir:
-        raise ConfigError("'output_dir' is required")
+    if not output_dir or not isinstance(output_dir, str):
+        raise ConfigError("'output_dir' is required as a path string")
     dataset = raw.get("dataset")
     if dataset is not None and not isinstance(dataset, str):
         raise ConfigError(f"'dataset' must be a path string, not {type(dataset).__name__}")

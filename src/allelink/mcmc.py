@@ -18,14 +18,15 @@ import numpy as np
 
 from . import likelihood as lik
 from . import priors
+from .datagen import DataError
 from .likelihood import Dataset, DistortionState, LikelihoodConfig
 from .partitions import LinkageStructure, canonicalize, fnr_fdr
 from .priors import BbapParams, PriorParams
 
 NEG_INF = float("-inf")
 _NEW = -1
-# memory budget of one chain's reallocation-factor cache
-FACTOR_CACHE_BYTES = 64 * 2**20
+# reallocation-factor entries a bbap chain keeps before its cache is cleared
+FACTOR_CACHE_ENTRIES = 100_000
 
 
 @dataclass(frozen=True)
@@ -170,9 +171,6 @@ class ChainState:
         self._tables: np.ndarray | None = None
         self._tables_for: DistortionState | None = None
         self._factor_cache: dict[bytes, tuple[np.ndarray, float]] = {}
-        # an entry holds a size-count key of cap + 2 ints and cap + 1 join factors
-        entry_bytes = 8 * (self.cap + 2) + 8 * (self.cap + 1)
-        self._factor_cache_limit = min(100_000, FACTOR_CACHE_BYTES // entry_bytes)
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -227,11 +225,12 @@ class ChainState:
         self.assign[i] = target
 
     def _prior_factors(self) -> tuple[np.ndarray, float]:
-        key = self.size_counts.tobytes()
+        # EPP factors depend on n alone, so an EPP chain keeps one entry
+        key = self.size_counts.tobytes() if isinstance(self.prior, BbapParams) else b""
         hit = self._factor_cache.get(key)
         if hit is None:
             hit = priors._realloc_log_factors(self.size_counts, int(self.n - 1), self.prior)
-            if len(self._factor_cache) >= self._factor_cache_limit:
+            if len(self._factor_cache) >= FACTOR_CACHE_ENTRIES:
                 self._factor_cache.clear()
             self._factor_cache[key] = hit
         return hit
@@ -280,13 +279,9 @@ class ChainState:
         join, _ = self._prior_factors()
         logw = np.empty(len(targets))
         for t, k in enumerate(targets):
-            prior_w = join[self.sizes[k]] if self.sizes[k] < len(join) else NEG_INF
-            if prior_w == NEG_INF:
-                logw[t] = NEG_INF
-            else:
-                logw[t] = prior_w + lik.record_loglik(
-                    x, self.entities[k], self.distortion.psi, self.freqs
-                )
+            logw[t] = join[self.sizes[k]] + lik.record_loglik(
+                x, self.entities[k], self.distortion.psi, self.freqs
+            )
         if logw.max() == NEG_INF:
             # rejoining the record's own cluster always has positive density
             raise RuntimeError("restricted move found no admissible target")
@@ -439,8 +434,6 @@ def run_chain(
     if truth is not None and truth.n != dataset.n:
         raise ValueError("truth length does not match the dataset")
     bounded = isinstance(prior, BbapParams)
-    if bounded and prior.cap < 2:
-        raise ValueError("prior cap too small")
     # the O(n^2) pair sampler is built only if a chaperone step can be drawn;
     # the move draw below consumes one uniform per sweep either way
     pair_sampler = (
@@ -540,9 +533,16 @@ def write_snapshots_csv(trace: PosteriorTrace, path) -> None:
 
 
 def read_snapshots_csv(path) -> list[tuple[int, int, LinkageStructure]]:
+    """Rows written by write_snapshots_csv; a malformed row raises DataError."""
     out = []
     with open(path) as fh:
-        for line in fh:
-            parts = [int(v) for v in line.strip().split(",")]
-            out.append((parts[0], parts[1], LinkageStructure(tuple(parts[2:]))))
+        for line_no, line in enumerate(fh, 1):
+            try:
+                parts = [int(v) for v in line.strip().split(",")]
+                xi = LinkageStructure(tuple(parts[2:]))
+                if out and xi.n != out[0][2].n:
+                    raise ValueError(f"{xi.n} records, expected {out[0][2].n}")
+            except ValueError as exc:
+                raise DataError(f"snapshot file '{path}' line {line_no}: {exc}") from exc
+            out.append((parts[0], parts[1], xi))
     return out

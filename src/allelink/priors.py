@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from math import lgamma, log
 from typing import Sequence, Union
 
@@ -37,10 +36,6 @@ NEG_INF = float("-inf")
 # Beta means are clamped away from {0, 1} during calibration so that the
 # derived shapes stay finite.
 _MEAN_FLOOR = 1e-6
-
-# entries memoised by _log_beta_binomial; the sampler's reallocation factors
-# revisit a few thousand (count, trials) pairs per size
-_BETA_BINOMIAL_MEMO = 4096
 
 
 @dataclass(frozen=True)
@@ -129,10 +124,7 @@ class CalibrationSpec:
 # unused) so the sampler can evaluate them without building objects.
 
 
-@lru_cache(maxsize=_BETA_BINOMIAL_MEMO)
 def _log_beta_binomial(k: int, trials: int, a: float, b: float) -> float:
-    if k < 0 or k > trials:
-        return NEG_INF
     return (
         lgamma(trials + 1) - lgamma(k + 1) - lgamma(trials - k + 1)
         + lgamma(k + a) + lgamma(trials - k + b) - lgamma(trials + a + b)
@@ -431,36 +423,50 @@ def _realloc_log_factors(
     """Log prior weight for moving one extra record into the reduced state.
 
     Returns (join, new): join[s] applies to any existing cluster currently
-    of size s, new to a fresh singleton.  Entries stay -inf for sizes with
-    no clusters or at the cap.  Weights multiply the combinatorial
-    class-change factor by the size-count density ratio after/before the
-    move; the ratio is evaluated directly rather than simplified.
+    of size s, new to a fresh singleton.  Entries stay -inf at the cap and,
+    under bbap, for sizes with no clusters.  Weights multiply the class-change
+    factor by the size-count density ratio after/before the move, in closed
+    form: under EPP, the seating weights s and theta times a common ratio.
+    Under bbap, joining a size-s cluster leaves one more record for each
+    size t > s + 1 (one more trial when t divides them), adds a cluster at
+    s + 1 and takes a cluster and a trial from s, so one top-down pass gives
+    every weight in O(cap).
     """
-    cap = params.cap if isinstance(params, BbapParams) else n_minus + 1
-    counts = np.zeros(max(cap + 2, len(size_counts)), dtype=np.int64)
-    counts[: len(size_counts)] = np.asarray(size_counts, dtype=np.int64)
-    base = log_allelic_counts(counts, n_minus, params)
-    if base == NEG_INF:
-        raise ValueError("reduced state lies outside the prior support")
-    n_full = n_minus + 1
+    if isinstance(params, EppParams):
+        counts = np.asarray(size_counts, dtype=np.int64)
+        if (counts[1:] < 0).any() or int(counts @ np.arange(len(counts))) != n_minus:
+            raise ValueError("reduced state lies outside the prior support")
+        c = log(n_minus + 1) - log(n_minus + params.theta)
+        join = np.append(NEG_INF, np.log(np.arange(1, n_minus + 1)) + c)
+        return join, log(params.theta) + c
+    cap = params.cap
+    counts = [int(c) for c in size_counts] + [0] * (cap + 1 - len(size_counts))
     join = np.full(cap + 1, NEG_INF)
-    for s in range(1, cap):
-        r_s = int(counts[s])
-        if r_s == 0:
-            continue
-        r_up = int(counts[s + 1])
-        counts[s] -= 1
-        counts[s + 1] += 1
-        lp = log_allelic_counts(counts, n_full, params)
-        counts[s] += 1
-        counts[s + 1] -= 1
-        if lp > NEG_INF:
-            join[s] = log(s + 1) + log(r_up + 1) - log(r_s) + lp - base
-    counts[1] += 1
-    lp = log_allelic_counts(counts, n_full, params)
-    counts[1] -= 1
-    new = log(counts[1] + 1) + lp - base if lp > NEG_INF else NEG_INF
-    return join, new
+    above = 0.0  # sum of the new-record ratios over sizes above t + 1
+    g_up, gain_up = 0.0, NEG_INF  # at t + 1: new-record ratio, one-more-cluster ratio
+    left = n_minus  # records in clusters of size <= t
+    for t in range(cap, 1, -1):
+        r, m = counts[t], left // t  # count and trials at size t
+        if not 0 <= r <= m:
+            raise ValueError("reduced state lies outside the prior support")
+        a, b = params.shapes(t)
+        if r and t < cap:
+            # the class factor's log(r_{t+1} + 1) and log(r_t) cancel here
+            join[t] = log(t + 1) + above + gain_up - log(m) + log(m - 1 + a + b) - log(r - 1 + a)
+        above += g_up
+        if (left + 1) % t == 0:
+            g_up = log(m + 1) - log(m + 1 - r) + log(m - r + b) - log(m + a + b)
+            gain_up = log(m + 1) + log(r + a) - log(m + a + b)
+        else:
+            g_up = 0.0
+            gain_up = log(m - r) + log(r + a) - log(m - r - 1 + b) if r < m else NEG_INF
+        left -= t * r
+    # the singleton count is determined by the larger sizes, and none exceeds the cap
+    if counts[1] != left or any(counts[cap + 1 :]):
+        raise ValueError("reduced state lies outside the prior support")
+    if left:
+        join[1] = log(2) - log(left) + above + gain_up
+    return join, log(left + 1) + above + g_up
 
 
 def reallocation_weights(reduced: LinkageStructure, params: PriorParams) -> np.ndarray:
@@ -470,13 +476,5 @@ def reallocation_weights(reduced: LinkageStructure, params: PriorParams) -> np.n
     new singleton cluster.  Clusters already at the cap get weight zero.
     """
     sizes = reduced.cluster_sizes()
-    counts = [0] * (max(sizes) + 2)
-    for s in sizes:
-        counts[s] += 1
-    join, new = _realloc_log_factors(counts, reduced.n, params)
-    out = np.empty(len(sizes) + 1)
-    for k, s in enumerate(sizes):
-        lw = join[s] if s < len(join) else NEG_INF
-        out[k] = math.exp(lw) if lw > NEG_INF else 0.0
-    out[-1] = math.exp(new) if new > NEG_INF else 0.0
-    return out
+    join, new = _realloc_log_factors(np.bincount(sizes), reduced.n, params)
+    return np.array([math.exp(join[s]) for s in sizes] + [math.exp(new)])

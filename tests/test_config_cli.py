@@ -266,6 +266,10 @@ class TestPipeline:
             ("scenario", {"sizes": [1, 2], "weights": [0.5, 0.5], "psi": "x"}, "scenario.psi"),
             ("scenario", {"sizes": 5, "weights": [1.0]}, "scenario.sizes"),
             ("dataset", 5, "'dataset' must be a path string"),
+            ("output_dir", 5, "'output_dir'"),
+            ("prior", {"family": "bbap", "cap": 4,
+                       "calibration": {"family": "informed", "path": 5}},
+             "'prior.calibration.path'"),
         ],
     )
     def test_malformed_value_is_config_error_naming_key(self, tmp_path, capsys, block, value, key):
@@ -274,3 +278,21 @@ class TestPipeline:
         config_path = write_config(tmp_path, body)
         assert main(["run", "--config", config_path]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,1,1,2,x", "invalid literal for int()"),
+            ("0,1,2,1,1", "labels 1..K"),
+            ("0,1,1,2,1,2", "4 records, expected 3"),
+        ],
+        ids=["non-integer", "non-canonical", "other-record-count"],
+    )
+    def test_malformed_snapshot_row_is_data_error(self, tmp_path, capsys, row, message):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "xi_snapshots.csv").write_text(f"0,0,1,1,2\n{row}\n")
+        config_path = write_config(tmp_path, pipeline_config(tmp_path))
+        assert main(["estimate", "--config", config_path]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "xi_snapshots.csv' line 2" in err and message in err

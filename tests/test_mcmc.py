@@ -243,14 +243,24 @@ class TestTableKernelDraws:
 
 
 class TestExactPosterior:
-    @pytest.mark.parametrize("move_mix", [0.0, 0.9])
-    def test_reduced_scale_total_variation(self, move_mix):
+    @pytest.mark.parametrize(
+        "family, move_mix",
+        [
+            pytest.param("bbap", 0.0, id="0.0"),
+            pytest.param("bbap", 0.9, id="0.9"),
+            pytest.param("epp", 0.0, id="epp-0.0"),
+            pytest.param("epp", 0.9, id="epp-0.9"),
+        ],
+    )
+    def test_reduced_scale_total_variation(self, family, move_mix):
         ds = small_dataset()
-        prior = small_prior()
+        prior, log_density = {
+            "bbap": (small_prior(), priors.log_density_bbap_linkage),
+            "epp": (EppParams(1.0), priors.log_density_epp_linkage),
+        }[family]
         psi = np.array([0.05, 0.05])
         exact = exact_partition_posterior(
-            ds.values, ds.freqs, psi,
-            lambda xi: __import__("allelink.priors", fromlist=["x"]).log_density_bbap_linkage(xi, prior),
+            ds.values, ds.freqs, psi, lambda xi: log_density(xi, prior)
         )
         cfg = SamplerConfig(
             iterations=31_000, burn_in=1_000, chains=1, seed=3,
@@ -342,23 +352,31 @@ class TestRunChain:
         trace = run_chain(cfg, small_dataset(), small_prior(), LikelihoodConfig())
         assert len(trace) == 40
 
-    def test_factor_cache_stays_within_its_byte_budget(self, rng, monkeypatch):
+    def test_epp_chain_keeps_one_factor_entry(self, rng):
         ds = small_dataset()
-        # an EPP entry spans cap = n sizes: 8 (n + 2) key bytes plus 8 (n + 1) factors
-        monkeypatch.setattr(mcmc, "FACTOR_CACHE_BYTES", 3 * (16 * ds.n + 24))
-        state = ChainState(ds, EppParams(1.0), LikelihoodConfig(), rng)
-        assert state._factor_cache_limit == 3
+        state = ChainState(ds, EppParams(5.0), LikelihoodConfig(psi_fixed=0.05), rng)
+        before = state.size_counts.copy()
+        reallocation_pass(state, rng)
+        # the factors depend on n alone, so changed counts add no entry
+        assert not np.array_equal(state.size_counts, before)
+        assert len(state._factor_cache) == 1
+
+    def test_bbap_factor_cache_stays_within_its_entry_bound(self, rng, monkeypatch):
+        ds = small_dataset()
+        monkeypatch.setattr(mcmc, "FACTOR_CACHE_ENTRIES", 3)
+        state = ChainState(ds, small_prior(), LikelihoodConfig(), rng)
         calls = []
 
         def stub(size_counts, n_minus, params):
             calls.append(1)
-            return np.zeros(ds.n + 1), 0.0
+            return np.zeros(params.cap + 1), 0.0
 
         monkeypatch.setattr(priors, "_realloc_log_factors", stub)
         for step in range(20):
             state.size_counts[1] = step  # a fresh key every time
             state._prior_factors()
             assert 1 <= len(state._factor_cache) <= 3
+        # every fresh state is a miss and is recomputed
         assert len(calls) == 20
 
 

@@ -26,8 +26,11 @@ from allelink.priors import (
     sample_prior,
     singleton_moments_m2,
     size_target_distribution,
+    _draw_size_counts,
     _log_allelic_counts_bbap,
     _log_allelic_counts_epp,
+    _realloc_log_factors,
+    log_allelic_counts,
 )
 
 from conftest import tv_distance
@@ -451,3 +454,76 @@ class TestReallocationWeights:
             np.testing.assert_allclose(
                 weights / weights.sum(), joint / joint.sum(), atol=1e-10
             )
+
+
+def direct_realloc_log_factors(counts, n_minus, params, cap):
+    """The reallocation factors as density ratios from log_allelic_counts."""
+    counts = list(counts) + [0] * (cap + 2 - len(counts))
+    base = log_allelic_counts(counts, n_minus, params)
+
+    def moved(src, dst):
+        after = list(counts)
+        if src:
+            after[src] -= 1
+        after[dst] += 1
+        return log_allelic_counts(after, n_minus + 1, params) - base
+
+    join = {
+        s: math.log(s + 1) + math.log(counts[s + 1] + 1) - math.log(counts[s]) + moved(s, s + 1)
+        for s in range(1, cap)
+        if counts[s]
+    }
+    return join, math.log(counts[1] + 1) + moved(0, 1)
+
+
+class TestClosedFormFactors:
+    def test_bbap_matches_direct_ratio(self):
+        rng = np.random.default_rng(6)
+        full = opens_trial = 0
+        for _ in range(400):
+            cap = int(rng.integers(2, 10))
+            n = int(rng.integers(1, 301))
+            a, b = rng.uniform(0.05, 20, size=(2, cap - 1))
+            params = BbapParams(cap, a, b)
+            counts = _draw_size_counts(params, n, rng)
+            join, new = _realloc_log_factors(counts, n, params)
+            expected_join, expected_new = direct_realloc_log_factors(counts, n, params, cap)
+            assert math.isclose(new, expected_new, abs_tol=1e-9)
+            for s in range(cap + 1):
+                if s in expected_join and expected_join[s] > NEG_INF:
+                    assert math.isclose(join[s], expected_join[s], abs_tol=1e-9)
+                else:
+                    assert join[s] == NEG_INF
+            left = n
+            for t in range(cap, 1, -1):
+                full += counts[t] == left // t > 0
+                opens_trial += (left + 1) % t == 0
+                left -= t * counts[t]
+        # full sizes and sizes that gain a trial are both covered
+        assert full > 50 and opens_trial > 50
+
+    def test_epp_matches_direct_ratio(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            theta = float(rng.uniform(0.05, 50))
+            n = int(rng.integers(1, 120))
+            params = EppParams(theta)
+            counts = np.bincount(sample_prior(params, n, rng).cluster_sizes())
+            join, new = _realloc_log_factors(counts, n, params)
+            expected_join, expected_new = direct_realloc_log_factors(counts, n, params, n + 1)
+            assert math.isclose(new, expected_new, abs_tol=1e-9)
+            for s, value in expected_join.items():
+                assert math.isclose(join[s], value, abs_tol=1e-9)
+
+    @pytest.mark.parametrize(
+        "counts, params",
+        [
+            ([0, 1, 0, 0, 1], BbapParams(cap=3, a=(1.0, 1.0), b=(1.0, 1.0))),
+            ([0, 2, 2], BbapParams(cap=3, a=(1.0, 1.0), b=(1.0, 1.0))),
+            ([0, 2, 2], EppParams(1.0)),
+        ],
+        ids=["above-cap", "singletons-off", "epp-total-off"],
+    )
+    def test_state_outside_support_raises(self, counts, params):
+        with pytest.raises(ValueError, match="outside the prior support"):
+            _realloc_log_factors(counts, 5, params)
