@@ -136,6 +136,8 @@ def _load_snapshots(cfg: RunConfig) -> list[LinkageStructure]:
     if not os.path.exists(path):
         raise DataError(f"no linkage snapshots at '{path}'; run the sampler first")
     snaps = mcmc.read_snapshots_csv(path)
+    if not snaps:
+        raise DataError(f"snapshot file '{path}' holds no samples")
     snaps.sort(key=lambda rec: (rec[1], rec[0]))  # iteration then chain
     take = min(cfg.estimation.samples_used, len(snaps))
     return [xi for _, _, xi in snaps[-take:]]

@@ -9,9 +9,19 @@ sweep makes no move.
 The sweep engine evaluates every candidate move against every sample at
 once.  All three losses depend on a candidate move only through the
 contingency counts between the candidate's clusters and the sample cluster
-of the moved record, so one bincount of the record's sample-cluster matches
-feeds table lookups of m log m differences instead of per-sample loss
-recomputation.
+of the moved record, and those counts feed table lookups of m log m
+differences instead of per-sample loss recomputation.  Per-sample member
+lists, built once from one stable argsort per sample, give the moved
+record's sample-cluster members in every sample, so the counts cost
+O(S·c) for S samples and sample clusters of c records and come out as
+sparse (sample, cluster, count) entries.  Binder and VI scores are
+bincounts over the entries.  NID, for which every sample scores every
+target, is evaluated only on a samples-by-distinct-held-size grid, which
+covers every cluster without an entry and the new cluster, and at the
+entries; the touched clusters' columns are assembled from the two.  The
+engine holds about three int32 per sample and record (the sample labels,
+the member order and the member offsets), and its scores equal the dense
+samples-by-clusters formulas bit for bit.
 """
 
 from __future__ import annotations
@@ -134,6 +144,20 @@ class _GreedyEngine:
         self.rng = np.random.default_rng(config.seed)
         self.max_clusters = config.max_clusters or self.n
 
+        # member lists: the records labelled l in sample s are
+        # order[starts[j]:starts[j + 1]] with j = row_starts[s] + l
+        n, n_samples = self.n, self.n_samples
+        n_labels = int(self.smat.max()) + 1
+        self.order = np.empty(n_samples * n, dtype=np.int32)
+        starts = np.empty((n_samples, n_labels + 1), dtype=np.int32)
+        for s in range(n_samples):
+            self.order[s * n : (s + 1) * n] = np.argsort(self.smat[s], kind="stable")
+            starts[s, 0] = s * n
+            starts[s, 1:] = s * n + np.cumsum(np.bincount(self.smat[s], minlength=n_labels))
+        self.starts = starts.ravel()
+        self.sample_ids = np.arange(n_samples)
+        self.row_starts = self.sample_ids * (n_labels + 1)
+
         init = samples[int(self.rng.integers(self.n_samples))]
         self.init = init
         self.assign = np.array(init.assignments, dtype=np.int64) - 1
@@ -153,10 +177,9 @@ class _GreedyEngine:
             self.joint_phi = np.empty(self.n_samples)
             self.sample_entropy = np.empty(self.n_samples)
             self.sample_phi = np.empty(self.n_samples)
-            span = int(self.smat.max()) + 1
             for s in range(self.n_samples):
                 # counts in ascending cell order, as bincount's nonzero entries
-                _, joint = np.unique(self.assign * span + self.smat[s], return_counts=True)
+                _, joint = np.unique(self.assign * n_labels + self.smat[s], return_counts=True)
                 self.joint_phi[s] = phi[joint].sum()
                 bsz = np.bincount(self.smat[s])
                 self.sample_phi[s] = phi[bsz[bsz > 0]].sum()
@@ -176,36 +199,132 @@ class _GreedyEngine:
         info = {"init": self.init, "epl": self.epl, "epl_path": self.epl_path}
         return estimate, info
 
-    def _match_counts(self, i: int) -> np.ndarray:
-        """Per-sample counts, excluding record i, of records sharing i's
-        sample cluster within each current cluster."""
+    def _match_entries(self, i: int):
+        """Sparse per-sample counts, excluding record i, of the records that
+        share i's sample cluster, by current cluster.
+
+        Returns (sample, cluster, count) sorted by sample, then cluster;
+        every sample has an entry for i's own cluster, possibly of count 0.
+        """
         k = self.n_clusters
-        sample, record = np.nonzero(self.smat == self.smat[:, i : i + 1])
-        counts = np.bincount(sample * k + self.assign[record], minlength=self.n_samples * k)
-        counts = counts.reshape(self.n_samples, k)
-        counts[:, self.assign[i]] -= 1
-        return counts
+        cell = self.row_starts + self.smat[:, i]
+        lo = self.starts[cell]
+        size = self.starts[cell + 1] - lo
+        end = size.cumsum()
+        total = int(end[-1])
+        pos = np.arange(total) + (lo - end + size).repeat(size)
+        key = (self.sample_ids * k).repeat(size) + self.assign[self.order[pos]]
+        # np.unique(key, return_counts=True) with less per-call overhead
+        key.sort()
+        first = np.empty(total, dtype=bool)
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        count = np.bincount(first.cumsum() - 1)
+        sample, cluster = np.divmod(key[first], k)
+        count[cluster == self.assign[i]] -= 1
+        return sample, cluster, count
+
+    def _column(self, entries, c: int) -> np.ndarray:
+        """One cluster's per-sample counts from the sparse entries."""
+        sample, cluster, count = entries
+        col = np.zeros(self.n_samples, dtype=np.int64)
+        hit = cluster == c
+        col[sample[hit]] = count[hit]
+        return col
+
+    def _scores(self, i: int, entries) -> tuple[np.ndarray, float]:
+        """Score per existing target plus one fresh-singleton score; for
+        binder/vi these are relative objectives (stay = score[a]), for nid
+        they are absolute expected losses.
+
+        The scores keep the bits of sample means over dense samples-by-k
+        count arrays: numpy sums a column of a wider array in sample order,
+        which a bincount over entries sorted by sample repeats, and sums a
+        single column pairwise, which only its own mean repeats.
+        """
+        a = int(self.assign[i])
+        k = self.n_clusters
+        _, cluster, count = entries
+        held_sizes = self.sizes[:k].copy()
+        held_sizes[a] -= 1
+        if self.kind == "binder":
+            pairs = self.n * (self.n - 1) / 2.0
+            mean = np.bincount(cluster, weights=count, minlength=k) / self.n_samples
+            return (held_sizes - 2.0 * mean) / pairs, 0.0
+        if self.kind == "vi":
+            gain = self.dphi[count]
+            if k == 1:
+                mean = gain.mean()
+            else:
+                mean = np.bincount(cluster, weights=gain, minlength=k) / self.n_samples
+            return (self.dphi[held_sizes] - 2.0 * mean) / self.n, 0.0
+        return self._nid_scores(a, entries, held_sizes)
+
+    def _nid_values(self, rows, d_joint, d_size) -> np.ndarray:
+        """NID between candidate states and samples given tracker deltas.
+
+        One entry per (sample row, joint-table delta, size-table delta);
+        each takes the operations of the dense samples-by-k formula in the
+        same order, so it keeps that formula's bits.
+        """
+        n = self.n
+        size_term = (self.sum_phi_sizes + d_size) / n
+        cand_entropy = math.log(n) - size_term
+        info = (self.joint_phi[rows] + d_joint) / n - size_term
+        info -= self.sample_phi[rows] / n
+        info += math.log(n)
+        np.maximum(info, 0.0, out=info)
+        denom = np.maximum(cand_entropy, self.sample_entropy[rows])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nid = np.divide(info, denom, out=info)
+        np.subtract(1.0, nid, out=nid)
+        nid[denom <= 1e-12] = 0.0
+        return np.clip(nid, 0.0, 1.0, out=nid)
+
+    def _nid_scores(self, a, entries, held_sizes):
+        """Where a cluster has no entry its count is 0, so its NID against
+        the sample depends only on its held size, as a new cluster's does
+        (held size 0).  The NID is evaluated on a samples-by-distinct-sizes
+        grid and at the entries only; a touched cluster's column is its
+        size's grid column with its entries written in."""
+        sample, cluster, count = entries
+        k = len(held_sizes)
+        mark = np.zeros(k, dtype=bool)
+        mark[cluster] = True
+        touched = mark.nonzero()[0]
+        width = len(touched)
+        present = np.bincount(held_sizes) > 0
+        present[0] = True
+        sizes = present.nonzero()[0]
+        rank = np.cumsum(present) - 1  # grid column of each held size
+        d = len(sizes)
+        grid_rows, grid_col = np.divmod(np.arange(self.n_samples * d), d)
+        rows = np.concatenate([grid_rows, sample])
+        cell_counts = np.concatenate([np.zeros_like(grid_rows), count])
+        cell_sizes = np.concatenate([sizes[grid_col], held_sizes[cluster]])
+        own = self.dphi[count[cluster == a]]
+        values = self._nid_values(
+            rows,
+            self.dphi[cell_counts] - own[rows],
+            self.dphi[cell_sizes] - self.dphi[held_sizes[a]],
+        )
+        grid = values[: len(grid_rows)].reshape(self.n_samples, d)
+        # touched clusters first, then the grid; take keeps C order, in
+        # which numpy sums each column in sample order
+        nid = np.take(grid, np.concatenate([rank[held_sizes[touched]], np.arange(d)]), axis=1)
+        nid[sample, np.searchsorted(touched, cluster)] = values[len(grid_rows) :]
+        mean = nid.mean(axis=0)
+        if k == 1:
+            mean[0] = nid[:, 0].mean()
+        score = mean[width + rank[held_sizes]]
+        score[touched] = mean[:width]
+        return score, float(nid[:, width].mean())
 
     def _try_move(self, i: int) -> bool:
         a = int(self.assign[i])
-        k = self.n_clusters
-        allow_new = k < self.max_clusters
-        counts = self._match_counts(i)
-        held_sizes = self.sizes[:k].copy()
-        held_sizes[a] -= 1
-
-        # score per existing target plus one fresh-singleton score; for
-        # binder/vi these are relative objectives (stay = score[a]), for
-        # nid they are absolute expected losses
-        if self.kind == "binder":
-            pairs = self.n * (self.n - 1) / 2.0
-            score = (held_sizes - 2.0 * counts.mean(axis=0)) / pairs
-            new_score = 0.0
-        elif self.kind == "vi":
-            score = (self.dphi[held_sizes] - 2.0 * self.dphi[counts].mean(axis=0)) / self.n
-            new_score = 0.0
-        else:
-            score, new_score = self._nid_scores(a, counts, held_sizes)
+        allow_new = self.n_clusters < self.max_clusters
+        entries = self._match_entries(i)
+        score, new_score = self._scores(i, entries)
 
         base = float(score[a])
         target = int(np.argmin(score))
@@ -219,51 +338,21 @@ class _GreedyEngine:
             self.epl = best_score
         else:
             self.epl += best_score - base
-        self._apply(i, a, target, counts)
+        self._apply(i, a, target, entries)
         self.epl_path.append(self.epl)
         return True
 
-    def _nid_cand(self, d_joint: np.ndarray, d_size: np.ndarray) -> np.ndarray:
-        """Expected NID of candidate states given tracker deltas.
-
-        d_joint has one row per sample and one column per candidate target;
-        d_size one entry per target.
-        """
-        n = self.n
-        cand_entropy = math.log(n) - (self.sum_phi_sizes + d_size) / n
-        info = (
-            (self.joint_phi[:, None] + d_joint) / n
-            - (self.sum_phi_sizes + d_size)[None, :] / n
-            - self.sample_phi[:, None] / n
-            + math.log(n)
-        )
-        info = np.maximum(info, 0.0)
-        denom = np.maximum(cand_entropy[None, :], self.sample_entropy[:, None])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nid = 1.0 - info / denom
-        nid = np.where(denom <= 1e-12, 0.0, nid)
-        return np.clip(nid, 0.0, 1.0).mean(axis=0)
-
-    def _nid_scores(self, a, counts, held_sizes):
-        d_joint = self.dphi[counts] - self.dphi[counts[:, a]][:, None]
-        d_size = self.dphi[held_sizes] - self.dphi[held_sizes[a]]
-        score = self._nid_cand(d_joint, d_size)
-        d_joint_new = -self.dphi[counts[:, a]][:, None]
-        d_size_new = np.array([-float(self.dphi[held_sizes[a]])])
-        new_score = float(self._nid_cand(d_joint_new, d_size_new)[0])
-        return score, new_score
-
-    def _apply(self, i: int, a: int, target: int, counts: np.ndarray) -> None:
+    def _apply(self, i: int, a: int, target: int, entries) -> None:
         held_a = int(self.sizes[a]) - 1
-        if target == _NEW_TARGET:
-            held_t = 0
-            joint_delta = -self.dphi[counts[:, a]]
+        new = target == _NEW_TARGET
+        if new:
             target = self.n_clusters
             self.n_clusters += 1
-        else:
-            held_t = int(self.sizes[target])
-            joint_delta = self.dphi[counts[:, target]] - self.dphi[counts[:, a]]
+        held_t = int(self.sizes[target])
         if self.kind != "binder":
+            joint_delta = -self.dphi[self._column(entries, a)]
+            if not new:
+                joint_delta += self.dphi[self._column(entries, target)]
             self.sum_phi_sizes += float(self.dphi[held_t] - self.dphi[held_a])
             self.joint_phi += joint_delta
         self.sizes[a] -= 1

@@ -506,22 +506,31 @@ def write_trace_jsonl(trace: PosteriorTrace, path) -> None:
 
 
 def read_trace_jsonl(path, n: int = 0) -> PosteriorTrace:
+    """Rows written by write_trace_jsonl; a malformed row or an empty file
+    raises DataError."""
     trace = PosteriorTrace(n=n)
     with open(path) as fh:
-        for line in fh:
-            row = json.loads(line)
-            trace.iters.append(row["iter"])
-            trace.chain_ids.append(row["chain"])
-            trace.n_clusters.append(row["K"])
-            trace.size_counts.append(tuple(row["r"]))
-            trace.psi.append(tuple(row["psi"]))
-            trace.log_joint.append(row["logJoint"])
-            if "fnr" in row:
-                if trace.fnr is None:
-                    trace.fnr = []
-                    trace.fdr = []
-                trace.fnr.append(row["fnr"])
-                trace.fdr.append(row["fdr"])
+        for line_no, line in enumerate(fh, 1):
+            try:
+                row = json.loads(line)
+                trace.iters.append(row["iter"])
+                trace.chain_ids.append(row["chain"])
+                trace.n_clusters.append(row["K"])
+                trace.size_counts.append(tuple(row["r"]))
+                trace.psi.append(tuple(row["psi"]))
+                trace.log_joint.append(row["logJoint"])
+                if "fnr" in row:
+                    if trace.fnr is None:
+                        trace.fnr = []
+                        trace.fdr = []
+                    trace.fnr.append(row["fnr"])
+                    trace.fdr.append(row["fdr"])
+            except KeyError as exc:
+                raise DataError(f"trace file '{path}' line {line_no}: no key {exc}") from exc
+            except (ValueError, TypeError) as exc:
+                raise DataError(f"trace file '{path}' line {line_no}: {exc}") from exc
+    if not trace.iters:
+        raise DataError(f"trace file '{path}' holds no rows")
     return trace
 
 

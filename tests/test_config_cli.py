@@ -296,3 +296,32 @@ class TestPipeline:
         assert main(["estimate", "--config", config_path]) == EXIT_DATA
         err = capsys.readouterr().err
         assert "xi_snapshots.csv' line 2" in err and message in err
+
+    def test_empty_snapshot_file_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "xi_snapshots.csv").write_text("")
+        config_path = write_config(tmp_path, pipeline_config(tmp_path))
+        assert main(["estimate", "--config", config_path]) == EXIT_DATA
+        assert "xi_snapshots.csv' holds no samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["summarize", "evaluate"])
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["not json"], "trace.jsonl' line 2: Expecting value"),
+            ([json.dumps({"iter": 1, "K": 2, "r": [1, 1], "psi": [0.01], "logJoint": -1.0})],
+             "trace.jsonl' line 2: no key 'chain'"),
+            (None, "trace.jsonl' holds no rows"),
+        ],
+        ids=["not-json", "missing-key", "empty"],
+    )
+    def test_malformed_trace_is_data_error(self, tmp_path, capsys, command, rows, message):
+        out = tmp_path / "out"
+        out.mkdir()
+        good = {"iter": 0, "chain": 0, "K": 2, "r": [1, 1], "psi": [0.01], "logJoint": -1.0}
+        lines = [] if rows is None else [json.dumps(good)] + rows
+        (out / "trace.jsonl").write_text("".join(line + "\n" for line in lines))
+        config_path = write_config(tmp_path, pipeline_config(tmp_path))
+        assert main([command, "--config", config_path]) == EXIT_DATA
+        assert message in capsys.readouterr().err

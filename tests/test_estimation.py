@@ -7,6 +7,7 @@ import pytest
 from allelink.estimation import (
     GreedyConfig,
     LOSS_KINDS,
+    _GreedyEngine,
     _greedy_epl_with_info,
     expected_posterior_loss,
     greedy_epl,
@@ -207,15 +208,20 @@ class TestGreedyEpl:
                     # the estimate is a local minimum: no strict improvement
                     assert direct >= info["epl"] - 1e-9
 
-    @pytest.mark.parametrize("kind", LOSS_KINDS)
-    def test_memory_stays_linear_in_n(self, kind):
+    @pytest.mark.parametrize(
+        "kind, n_samples, bound_mib",
+        [pytest.param(kind, 3, 4, id=kind) for kind in LOSS_KINDS]
+        + [pytest.param(kind, 200, 8, id=f"{kind}-200-samples") for kind in LOSS_KINDS],
+    )
+    def test_memory_stays_linear_in_n(self, kind, n_samples, bound_mib):
         # about n/2 clusters per sample, as under a microclustering prior:
-        # any n-by-K buffer would take megabytes here
+        # any n-by-K buffer, or a samples-by-K one per record, would take
+        # megabytes here
         rng = np.random.default_rng(5)
         n = 2000
         pairs = np.arange(n) // 2
         samples = []
-        for _ in range(3):
+        for _ in range(n_samples):
             labels = pairs.copy()
             moved = rng.choice(n, 100, replace=False)
             labels[moved] = rng.integers(0, n // 2, size=100)
@@ -226,4 +232,98 @@ class TestGreedyEpl:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20, f"greedy {kind} peaked at {peak / 2**20:.1f} MiB"
+        assert peak < bound_mib * 2**20, f"greedy {kind} peaked at {peak / 2**20:.1f} MiB"
+
+
+def dense_nid(engine, d_joint, d_size):
+    """Expected NID of candidate states over dense samples-by-target deltas."""
+    n = engine.n
+    cand_entropy = math.log(n) - (engine.sum_phi_sizes + d_size) / n
+    info = (
+        (engine.joint_phi[:, None] + d_joint) / n
+        - (engine.sum_phi_sizes + d_size)[None, :] / n
+        - engine.sample_phi[:, None] / n
+        + math.log(n)
+    )
+    info = np.maximum(info, 0.0)
+    denom = np.maximum(cand_entropy[None, :], engine.sample_entropy[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nid = 1.0 - info / denom
+    nid = np.where(denom <= 1e-12, 0.0, nid)
+    return np.clip(nid, 0.0, 1.0).mean(axis=0)
+
+
+def dense_counts(engine, i):
+    """Samples-by-cluster counts, excluding record i, of the records that
+    share i's sample cluster, from a full comparison of the sample matrix."""
+    k, n_samples = engine.n_clusters, engine.n_samples
+    smat = engine.smat
+    sample, record = np.nonzero(smat == smat[:, i : i + 1])
+    counts = np.bincount(sample * k + engine.assign[record], minlength=n_samples * k)
+    counts = counts.reshape(n_samples, k)
+    counts[:, engine.assign[i]] -= 1
+    return counts
+
+
+def dense_scores(engine, i, counts):
+    """Candidate scores and the new-cluster score from dense counts."""
+    a = int(engine.assign[i])
+    held = engine.sizes[: engine.n_clusters].copy()
+    held[a] -= 1
+    dphi = engine.dphi
+    if engine.kind == "binder":
+        pairs = engine.n * (engine.n - 1) / 2.0
+        return (held - 2.0 * counts.mean(axis=0)) / pairs, 0.0
+    if engine.kind == "vi":
+        return (dphi[held] - 2.0 * dphi[counts].mean(axis=0)) / engine.n, 0.0
+    d_joint = dphi[counts] - dphi[counts[:, a]][:, None]
+    score = dense_nid(engine, d_joint, dphi[held] - dphi[held[a]])
+    new = dense_nid(engine, -dphi[counts[:, a]][:, None], np.array([-float(dphi[held[a]])]))
+    return score, float(new[0])
+
+
+def score_check_posteriors(rng):
+    """(samples, max_clusters) pairs covering the shapes the scores meet."""
+    n = 14
+    yield [random_partition(rng, n)], None
+    yield [random_partition(rng, n) for _ in range(2)], None
+    for spread in (2, 5, n):
+        yield [random_partition(rng, n, spread) for _ in range(23)], None
+    singletons = canonicalize(range(n))
+    yield [singletons] * 9, None
+    yield [singletons] * 8 + [random_partition(rng, n, 3)], None
+    one = canonicalize([1] * n)
+    yield [one] * 12, None
+    yield [one] * 11 + [random_partition(rng, n)], None
+    yield [random_partition(rng, n) for _ in range(10)], 1
+    yield [random_partition(rng, n, 8) for _ in range(10)], 6
+
+
+class TestSparseScores:
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_scores_equal_dense_reference_bitwise(self, kind):
+        rng = np.random.default_rng(11)
+        one_cluster_states = 0
+        for samples, cap in score_check_posteriors(rng):
+            for seed in range(3):
+                config = GreedyConfig(seed=seed, max_clusters=cap)
+                engine = _GreedyEngine(samples, kind, config)
+                for _ in range(2):
+                    for i in engine.rng.permutation(engine.n):
+                        i = int(i)
+                        counts = dense_counts(engine, i)
+                        want, want_new = dense_scores(engine, i, counts)
+                        got, got_new = engine._scores(i, engine._match_entries(i))
+                        assert np.array_equal(got, want), (kind, engine.n_clusters)
+                        assert got_new == want_new
+                        one_cluster_states += engine.n_clusters == 1
+                        before = engine.assign.copy()
+                        joint_phi = None if kind == "binder" else engine.joint_phi.copy()
+                        if engine._try_move(i) and joint_phi is not None:
+                            # the joint tables take the dense columns' difference
+                            mates = np.flatnonzero(engine.assign == engine.assign[i])
+                            mates = mates[mates != i]
+                            moved_to = counts[:, before[mates[0]]] if len(mates) else 0
+                            delta = engine.dphi[moved_to] - engine.dphi[counts[:, before[i]]]
+                            assert np.array_equal(engine.joint_phi, joint_phi + delta)
+        assert one_cluster_states > 0
