@@ -165,6 +165,18 @@ def _read_estimate(cfg: RunConfig, loss: str) -> LinkageStructure | None:
     return LinkageStructure(tuple(labels))
 
 
+def _trace_summary(cfg: RunConfig, trace_path: str,
+                   truth: LinkageStructure | None) -> evaluation.TraceSummary:
+    """Summary of the trace.  The linkage snapshots are read only where
+    summarize_trace needs them: a truth to score against and no error
+    rates recorded in the trace."""
+    trace = mcmc.read_trace_jsonl(trace_path)
+    snap_path = os.path.join(cfg.output_dir, "xi_snapshots.csv")
+    if truth is not None and trace.fnr is None and os.path.exists(snap_path):
+        trace.snapshots = mcmc.read_snapshots_csv(snap_path)
+    return evaluation.summarize_trace(trace, truth)
+
+
 def _cmd_evaluate(cfg: RunConfig, rundir: _RunDir) -> None:
     _, truth = _resolve_dataset(cfg)
     if truth is None:
@@ -172,12 +184,7 @@ def _cmd_evaluate(cfg: RunConfig, rundir: _RunDir) -> None:
     trace_path = os.path.join(cfg.output_dir, "trace.jsonl")
     reports = []
     if os.path.exists(trace_path):
-        trace = mcmc.read_trace_jsonl(trace_path, n=truth.n)
-        snap_path = os.path.join(cfg.output_dir, "xi_snapshots.csv")
-        if os.path.exists(snap_path):
-            trace.snapshots = mcmc.read_snapshots_csv(snap_path)
-        summary = evaluation.summarize_trace(trace, truth)
-        reports.append(summary.report.to_dict())
+        reports.append(_trace_summary(cfg, trace_path, truth).report.to_dict())
     for loss in cfg.estimation.losses:
         estimate = _read_estimate(cfg, loss)
         if estimate is None:
@@ -199,11 +206,7 @@ def _cmd_summarize(cfg: RunConfig, rundir: _RunDir) -> None:
     truth = None
     if cfg.dataset is not None or cfg.scenario is not None:
         _, truth = _resolve_dataset(cfg)
-    trace = mcmc.read_trace_jsonl(trace_path)
-    snap_path = os.path.join(cfg.output_dir, "xi_snapshots.csv")
-    if os.path.exists(snap_path):
-        trace.snapshots = mcmc.read_snapshots_csv(snap_path)
-    summary = evaluation.summarize_trace(trace, truth)
+    summary = _trace_summary(cfg, trace_path, truth)
     evaluation.write_summary_tsv(summary, rundir.path("summary.tsv"))
     evaluation.write_k_table_tsv(summary, rundir.path("k_distribution.tsv"))
 

@@ -15,13 +15,16 @@ lists, built once from one stable argsort per sample, give the moved
 record's sample-cluster members in every sample, so the counts cost
 O(S·c) for S samples and sample clusters of c records and come out as
 sparse (sample, cluster, count) entries.  Binder and VI scores are
-bincounts over the entries.  NID, for which every sample scores every
-target, is evaluated only on a samples-by-distinct-held-size grid, which
-covers every cluster without an entry and the new cluster, and at the
-entries; the touched clusters' columns are assembled from the two.  The
-engine holds about three int32 per sample and record (the sample labels,
-the member order and the member offsets), and its scores equal the dense
-samples-by-clusters formulas bit for bit.
+bincounts over the entries and need nothing else.  NID alone keeps
+per-sample joint-entropy tables, updated by delta on every move; it is
+evaluated only on a samples-by-distinct-held-size grid, which covers every
+cluster without an entry and the new cluster, and at the entries; the
+touched clusters' columns are assembled from the two.  The engine holds
+about three int32 per sample and record (the sample labels, the member
+order and the member offsets), and its scores equal the dense
+samples-by-clusters formulas bit for bit.  Moves compare candidate scores
+only, so the engine tracks no objective value; the caller evaluates the
+estimate's expected loss once with expected_posterior_loss.
 """
 
 from __future__ import annotations
@@ -121,17 +124,9 @@ def greedy_epl(
     move per record in random order, keeps the current assignment on ties,
     and stops after a moveless sweep or the sweep budget.
     """
-    estimate, _ = _greedy_epl_with_info(samples, kind, config)
-    return estimate
-
-
-def _greedy_epl_with_info(
-    samples: Sequence[LinkageStructure], kind: str, config: GreedyConfig | None = None
-) -> tuple[LinkageStructure, dict]:
     _check_kind(kind)
     _check_samples(samples)
-    engine = _GreedyEngine(samples, kind, config or GreedyConfig())
-    return engine.run()
+    return _GreedyEngine(samples, kind, config or GreedyConfig()).run()
 
 
 class _GreedyEngine:
@@ -159,7 +154,6 @@ class _GreedyEngine:
         self.row_starts = self.sample_ids * (n_labels + 1)
 
         init = samples[int(self.rng.integers(self.n_samples))]
-        self.init = init
         self.assign = np.array(init.assignments, dtype=np.int64) - 1
         self.n_clusters = init.n_clusters
         # a search never holds more than n clusters
@@ -172,7 +166,7 @@ class _GreedyEngine:
         phi[0] = 0.0
         self.dphi = phi[1:] - phi[:-1]
 
-        if kind != "binder":
+        if kind == "nid":
             self.sum_phi_sizes = float(phi[self.sizes[: self.n_clusters]].sum())
             self.joint_phi = np.empty(self.n_samples)
             self.sample_entropy = np.empty(self.n_samples)
@@ -185,19 +179,14 @@ class _GreedyEngine:
                 self.sample_phi[s] = phi[bsz[bsz > 0]].sum()
                 self.sample_entropy[s] = math.log(self.n) - self.sample_phi[s] / self.n
 
-        self.epl = expected_posterior_loss(init, samples, kind)
-        self.epl_path = [self.epl]
-
-    def run(self):
+    def run(self) -> LinkageStructure:
         for _ in range(self.config.sweeps):
             moved = False
             for i in self.rng.permutation(self.n):
                 moved = self._try_move(int(i)) or moved
             if not moved:
                 break
-        estimate = canonicalize(self.assign + 1)
-        info = {"init": self.init, "epl": self.epl, "epl_path": self.epl_path}
-        return estimate, info
+        return canonicalize(self.assign + 1)
 
     def _match_entries(self, i: int):
         """Sparse per-sample counts, excluding record i, of the records that
@@ -248,7 +237,8 @@ class _GreedyEngine:
         held_sizes = self.sizes[:k].copy()
         held_sizes[a] -= 1
         if self.kind == "binder":
-            pairs = self.n * (self.n - 1) / 2.0
+            # one record has no pairs: every score is then 0 and nothing moves
+            pairs = max(self.n * (self.n - 1) / 2.0, 1.0)
             mean = np.bincount(cluster, weights=count, minlength=k) / self.n_samples
             return (held_sizes - 2.0 * mean) / pairs, 0.0
         if self.kind == "vi":
@@ -334,12 +324,7 @@ class _GreedyEngine:
             target = _NEW_TARGET
         if best_score >= base - 1e-12:
             return False
-        if self.kind == "nid":
-            self.epl = best_score
-        else:
-            self.epl += best_score - base
         self._apply(i, a, target, entries)
-        self.epl_path.append(self.epl)
         return True
 
     def _apply(self, i: int, a: int, target: int, entries) -> None:
@@ -349,7 +334,7 @@ class _GreedyEngine:
             target = self.n_clusters
             self.n_clusters += 1
         held_t = int(self.sizes[target])
-        if self.kind != "binder":
+        if self.kind == "nid":
             joint_delta = -self.dphi[self._column(entries, a)]
             if not new:
                 joint_delta += self.dphi[self._column(entries, target)]

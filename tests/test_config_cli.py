@@ -325,3 +325,44 @@ class TestPipeline:
         config_path = write_config(tmp_path, pipeline_config(tmp_path))
         assert main([command, "--config", config_path]) == EXIT_DATA
         assert message in capsys.readouterr().err
+
+    def test_estimate_evaluates_each_loss_once(self, tmp_path, monkeypatch):
+        from allelink import estimation
+
+        out = tmp_path / "out"
+        out.mkdir()
+        rows = ["0,0,1,1,2,3,3,4", "0,2,1,2,2,3,3,4", "1,0,1,1,2,3,4,4", "1,2,1,1,1,2,2,3"]
+        (out / "xi_snapshots.csv").write_text("".join(row + "\n" for row in rows))
+        body = pipeline_config(tmp_path)
+        body["estimation"]["losses"] = ["binder", "vi", "nid"]
+        config_path = write_config(tmp_path, body)
+        calls = []
+        loss = estimation.expected_posterior_loss
+
+        def counting_loss(candidate, samples, kind):
+            calls.append(kind)
+            return loss(candidate, samples, kind)
+
+        monkeypatch.setattr(estimation, "expected_posterior_loss", counting_loss)
+        assert main(["estimate", "--config", config_path]) == EXIT_OK
+        assert calls == ["binder", "vi", "nid"]
+
+    def test_rates_in_trace_leave_snapshots_unread(self, tmp_path):
+        # the trace's own error rates are what evaluate and summarize
+        # report, so a damaged snapshot file changes nothing
+        body = pipeline_config(tmp_path)
+        body["sampler"] = {"iterations": 40, "burn_in": 10, "chains": 1,
+                           "snapshot_stride": 2, "check_every": 20}
+        config_path = write_config(tmp_path, body)
+        out = tmp_path / "out"
+        assert main(["run", "--config", config_path]) == EXIT_OK
+        assert '"fnr"' in (out / "trace.jsonl").read_text()
+        outputs = {"evaluate": "metrics.json", "summarize": "summary.tsv"}
+        before = {}
+        for command, name in outputs.items():
+            assert main([command, "--config", config_path]) == EXIT_OK
+            before[name] = (out / name).read_bytes()
+        (out / "xi_snapshots.csv").write_text("0,0,1,1,x\n")
+        for command, name in outputs.items():
+            assert main([command, "--config", config_path]) == EXIT_OK
+            assert (out / name).read_bytes() == before[name]

@@ -1,14 +1,16 @@
+import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from allelink import estimation
 from allelink.estimation import (
     GreedyConfig,
     LOSS_KINDS,
     _GreedyEngine,
-    _greedy_epl_with_info,
     expected_posterior_loss,
     greedy_epl,
     pairwise_loss,
@@ -146,15 +148,25 @@ class TestGreedyEpl:
         base = canonicalize([1, 1, 2, 2, 3, 4, 4, 5, 5, 5])
         samples = perturbed_samples(rng, base, 12, flips=2)
         for seed in range(4):
-            est, info = _greedy_epl_with_info(samples, kind, GreedyConfig(seed=seed))
-            path = info["epl_path"]
+            engine = _GreedyEngine(samples, kind, GreedyConfig(seed=seed))
+            init = canonicalize(engine.assign + 1)
+            assert init in samples
+            # the direct expected loss after every applied move
+            path = [expected_posterior_loss(init, samples, kind)]
+            apply = engine._apply
+
+            def recording_apply(*args):
+                apply(*args)
+                path.append(
+                    expected_posterior_loss(canonicalize(engine.assign + 1), samples, kind)
+                )
+
+            engine._apply = recording_apply
+            est = engine.run()
             assert all(b <= a + 1e-9 for a, b in zip(path, path[1:]))
             final = expected_posterior_loss(est, samples, kind)
+            assert final == path[-1]
             assert final <= path[0] + 1e-9
-            # tracked objective agrees with a direct recomputation
-            assert math.isclose(info["epl"], final, rel_tol=0, abs_tol=1e-8)
-            init_epl = expected_posterior_loss(info["init"], samples, kind)
-            assert math.isclose(path[0], init_epl, rel_tol=0, abs_tol=1e-8)
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_matches_exhaustive_minimizer_small(self, kind, rng):
@@ -177,15 +189,15 @@ class TestGreedyEpl:
         samples = [canonicalize(rng.integers(0, 6, size=12)) for _ in range(8)]
         for seed in range(5):
             cap = max(s.n_clusters for s in samples)
-            est, info = _greedy_epl_with_info(
-                samples, "binder", GreedyConfig(seed=seed, max_clusters=cap)
-            )
-            assert est.n_clusters <= max(cap, info["init"].n_clusters)
-            tight, info2 = _greedy_epl_with_info(
-                samples, "binder", GreedyConfig(seed=seed, max_clusters=1)
-            )
+            engine = _GreedyEngine(samples, "binder", GreedyConfig(seed=seed, max_clusters=cap))
+            init_clusters = engine.n_clusters
+            est = engine.run()
+            assert est.n_clusters <= max(cap, init_clusters)
+            engine = _GreedyEngine(samples, "binder", GreedyConfig(seed=seed, max_clusters=1))
+            init_clusters = engine.n_clusters
+            tight = engine.run()
             # nothing may be created beyond the initialization's clusters
-            assert tight.n_clusters <= info2["init"].n_clusters
+            assert tight.n_clusters <= init_clusters
 
     def test_sweep_budget_is_a_hard_stop(self, rng):
         samples = [random_partition(rng, 10) for _ in range(6)]
@@ -193,20 +205,78 @@ class TestGreedyEpl:
         assert est.n == 10
 
     def test_candidate_scores_match_direct_epl_deltas(self, rng):
-        # engine deltas against brute-force recomputation over single moves
+        # at every state the search passes through, each single move's score
+        # against a brute-force recomputation of the expected loss
         base = canonicalize([1, 1, 2, 3, 3])
         samples = perturbed_samples(rng, base, 6)
-        for kind in LOSS_KINDS:
-            est, info = _greedy_epl_with_info(samples, kind, GreedyConfig(seed=3))
-            # walk one manual move from the estimate and verify the objective
-            for i in range(5):
+        for kind, seed in itertools.product(LOSS_KINDS, range(3)):
+            engine = _GreedyEngine(samples, kind, GreedyConfig(seed=seed))
+            moved = True
+            while moved:
+                moved = False
+                current = expected_posterior_loss(canonicalize(engine.assign + 1), samples, kind)
+                for i in engine.rng.permutation(engine.n):
+                    i = int(i)
+                    a = int(engine.assign[i])
+                    score, new_score = engine._scores(i, engine._match_entries(i))
+                    scores = np.append(score, new_score)
+                    for target in range(engine.n_clusters + 1):
+                        labels = engine.assign.copy()
+                        labels[i] = target
+                        direct = expected_posterior_loss(canonicalize(labels + 1), samples, kind)
+                        if kind == "nid":
+                            assert math.isclose(scores[target], direct, abs_tol=1e-9)
+                        else:
+                            assert math.isclose(
+                                scores[target] - score[a], direct - current, abs_tol=1e-9
+                            )
+                    if engine._try_move(i):
+                        moved = True
+                        current = expected_posterior_loss(
+                            canonicalize(engine.assign + 1), samples, kind
+                        )
+            # the last sweep moved nothing: the estimate is a local minimum
+            est = canonicalize(engine.assign + 1)
+            final = expected_posterior_loss(est, samples, kind)
+            for i in range(est.n):
                 for target in range(1, est.n_clusters + 2):
                     labels = list(est.assignments)
                     labels[i] = target
-                    cand = canonicalize(labels)
-                    direct = expected_posterior_loss(cand, samples, kind)
-                    # the estimate is a local minimum: no strict improvement
-                    assert direct >= info["epl"] - 1e-9
+                    direct = expected_posterior_loss(canonicalize(labels), samples, kind)
+                    assert direct >= final - 1e-9
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_one_record_stops_after_one_sweep(self, kind, monkeypatch):
+        calls = []
+        try_move = _GreedyEngine._try_move
+
+        def counting_try_move(engine, i):
+            calls.append(i)
+            return try_move(engine, i)
+
+        monkeypatch.setattr(_GreedyEngine, "_try_move", counting_try_move)
+        xi = LinkageStructure((1,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = greedy_epl([xi] * 3, kind)
+        assert est.assignments == (1,)
+        assert calls == [0]
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_search_evaluates_no_expected_loss(self, kind, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the search called expected_posterior_loss")
+
+        samples = perturbed_samples(rng, canonicalize([1, 1, 2, 3, 3, 4]), 8, flips=2)
+        want = greedy_epl(samples, kind, GreedyConfig(seed=1))
+        monkeypatch.setattr(estimation, "expected_posterior_loss", refuse)
+        assert greedy_epl(samples, kind, GreedyConfig(seed=1)) == want
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_joint_tables_only_for_nid(self, kind, rng):
+        samples = [random_partition(rng, 8) for _ in range(4)]
+        engine = _GreedyEngine(samples, kind, GreedyConfig())
+        assert hasattr(engine, "joint_phi") == (kind == "nid")
 
     @pytest.mark.parametrize(
         "kind, n_samples, bound_mib",
@@ -318,7 +388,7 @@ class TestSparseScores:
                         assert got_new == want_new
                         one_cluster_states += engine.n_clusters == 1
                         before = engine.assign.copy()
-                        joint_phi = None if kind == "binder" else engine.joint_phi.copy()
+                        joint_phi = engine.joint_phi.copy() if kind == "nid" else None
                         if engine._try_move(i) and joint_phi is not None:
                             # the joint tables take the dense columns' difference
                             mates = np.flatnonzero(engine.assign == engine.assign[i])
