@@ -166,19 +166,6 @@ def record_loglik(
     return float(out)
 
 
-def pattern_weights(n_fields: int) -> np.ndarray:
-    """(F, C) matrix that maps an agreement row to its per-chunk pattern codes.
-
-    Fields are split in order into C chunks of at most PATTERN_CHUNK_FIELDS;
-    field f sets bit f % PATTERN_CHUNK_FIELDS of chunk f // PATTERN_CHUNK_FIELDS,
-    so every chunk's code fits in one byte.
-    """
-    f = np.arange(n_fields)
-    weights = np.zeros((n_fields, -(-n_fields // PATTERN_CHUNK_FIELDS)), dtype=np.uint8)
-    weights[f, f // PATTERN_CHUNK_FIELDS] = 1 << (f % PATTERN_CHUNK_FIELDS)
-    return weights
-
-
 def pattern_tables(values: np.ndarray, psi: np.ndarray, freqs: list[np.ndarray]) -> np.ndarray:
     """Log likelihood of every record under every agree/disagree pattern.
 
@@ -205,19 +192,86 @@ def pattern_tables(values: np.ndarray, psi: np.ndarray, freqs: list[np.ndarray])
     return out
 
 
+class AgreementPlanes:
+    """Which cluster slots hold each (field, value), as pattern-code bits.
+
+    Row offsets[f] + v holds field f's bit of its pattern chunk,
+    1 << (f % 8) in chunk f // 8, at every slot whose entity has value v in
+    field f, and 0 elsewhere; a slot without a cluster is 0 in every row.
+    OR-ing a record's rows of one chunk gives that chunk's pattern code
+    against every slot.  Taking fields in order, a field gets rows if the
+    total row count still fits in 8 C 2^min(F, 8), the bytes per record of
+    the pattern tables, so the planes never take more memory than the
+    tables.  A field that does not fit, such as a column of identifiers, is
+    compared against the entity column instead.
+    """
+
+    def __init__(self, cardinalities: tuple[int, ...], n_slots: int):
+        n_fields = len(cardinalities)
+        n_chunks = -(-n_fields // PATTERN_CHUNK_FIELDS)
+        budget = 8 * n_chunks * (1 << min(n_fields, PATTERN_CHUNK_FIELDS))
+        self.offsets = np.full(n_fields, -1, dtype=np.intp)
+        n_rows = 0
+        for f, d in enumerate(cardinalities):
+            if n_rows + d <= budget:
+                self.offsets[f] = n_rows
+                n_rows += d
+        self._planed = np.flatnonzero(self.offsets >= 0)
+        self._planed_offsets = self.offsets[self._planed]
+        self._bits = (1 << (self._planed % PATTERN_CHUNK_FIELDS)).astype(np.uint8)
+        self.planes = np.zeros((n_rows, n_slots), dtype=np.uint8)
+        # per chunk: its span of a record's rows, and (field, bit) of its compared fields
+        chunk_of = np.arange(n_fields) // PATTERN_CHUNK_FIELDS
+        self.chunks = []
+        for c in range(n_chunks):
+            lo, hi = np.searchsorted(chunk_of[self._planed], [c, c + 1])
+            compared = np.flatnonzero((self.offsets < 0) & (chunk_of == c))
+            self.chunks.append(
+                (
+                    slice(int(lo), int(hi)),
+                    [(int(g), 1 << (int(g) % PATTERN_CHUNK_FIELDS)) for g in compared],
+                )
+            )
+
+    def record_rows(self, values: np.ndarray) -> np.ndarray:
+        """Plane row of each planed field's value; records by planed fields."""
+        return self._planed_offsets + values[:, self._planed]
+
+    def set_slot(self, slot: int, entity: np.ndarray) -> None:
+        self.planes[self._planed_offsets + entity[self._planed], slot] = self._bits
+
+    def clear_slot(self, slot: int, entity: np.ndarray) -> None:
+        self.planes[self._planed_offsets + entity[self._planed], slot] = 0
+
+    def fill(self, entities: np.ndarray) -> None:
+        """Planes of exactly these entities, one per slot from slot 0."""
+        self.planes[:] = 0
+        slots = np.arange(len(entities))[:, None]
+        self.planes[self.record_rows(entities), slots] = self._bits
+
+
 def entity_logliks(
-    x: np.ndarray, entities: np.ndarray, table: np.ndarray, weights: np.ndarray
+    x: np.ndarray,
+    entities: np.ndarray,
+    planes: AgreementPlanes,
+    rows: np.ndarray,
+    table: np.ndarray,
 ) -> np.ndarray:
     """record_loglik of one record against every entity row at once.
 
-    table is the record's row of pattern_tables, C chunks by 2^min(F, 8)
-    patterns, and weights is pattern_weights(F); chunk subtotals are added
-    in chunk order.
+    planes holds exactly these entities in slots 0..K-1, rows is x's row of
+    planes.record_rows, and table is the record's row of pattern_tables,
+    C chunks by 2^min(F, 8) patterns; chunk subtotals are added in chunk
+    order.
     """
-    codes = (entities == x).view(np.uint8) @ weights
-    out = table[0, codes[:, 0]]
-    for c in range(1, table.shape[0]):
-        out = out + table[c, codes[:, c]]
+    k = len(entities)
+    out = None
+    for c, (span, compared) in enumerate(planes.chunks):
+        codes = np.bitwise_or.reduce(planes.planes[rows[span], :k], axis=0)
+        for f, bit in compared:
+            codes[entities[:, f] == x[f]] |= bit
+        part = table[c].take(codes)
+        out = part if out is None else out + part
     return out
 
 

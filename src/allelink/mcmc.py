@@ -165,9 +165,12 @@ class ChainState:
             )
         # a constant of the data: the entity integrates out of a new cluster
         self._new_logliks = lik.new_cluster_marginal_loglik(dataset.values, self.freqs)
+        # which slots hold each (field, value); changed wherever entities change
+        self._planes = lik.AgreementPlanes(dataset.cardinalities, n)
+        self._planes.fill(self.entities)
+        self._plane_rows = self._planes.record_rows(dataset.values)
         # per-record pattern log likelihoods, rebuilt after self.distortion is
         # replaced (the sampler swaps in a new DistortionState, never edits one)
-        self._pattern_weights = lik.pattern_weights(n_fields)
         self._tables: np.ndarray | None = None
         self._tables_for: DistortionState | None = None
         self._factor_cache: dict[bytes, tuple[np.ndarray, float]] = {}
@@ -201,7 +204,10 @@ class ChainState:
                 self.assign[j] = k
             self.members[k] = self.members[last]
             self.sizes[k] = self.sizes[last]
+            self._planes.clear_slot(k, self.entities[k])
             self.entities[k] = self.entities[last]
+            self._planes.set_slot(k, self.entities[k])
+        self._planes.clear_slot(last, self.entities[last])
         self.members[last] = []
         self.sizes[last] = 0
         self.n_clusters = last
@@ -215,6 +221,7 @@ class ChainState:
             self.entities[target] = lik.draw_singleton_entity(
                 self.dataset.values[i], self.distortion.psi, self.freqs, rng
             )
+            self._planes.set_slot(target, self.entities[target])
             self.n_clusters += 1
         else:
             s = int(self.sizes[target])
@@ -253,8 +260,8 @@ class ChainState:
         k = self.n_clusters
         logw = np.empty(k + 1)
         if k:
-            logw[:k] = join[self.sizes[:k]] + lik.entity_logliks(
-                x, self.entities[:k], self._pattern_tables()[i], self._pattern_weights
+            logw[:k] = join.take(self.sizes[:k]) + lik.entity_logliks(
+                x, self.entities[:k], self._planes, self._plane_rows[i], self._pattern_tables()[i]
             )
         logw[k] = new + self._new_logliks[i]
         choice = _sample_from_logw(logw, rng, new_index=k)
@@ -297,6 +304,7 @@ class ChainState:
             self.freqs,
             rng,
         )
+        self._planes.fill(self.entities[: self.n_clusters])
 
     def resample_distortion(self, rng: np.random.Generator) -> None:
         if self.psi_fixed:
@@ -351,6 +359,10 @@ class ChainState:
         for listed, rows in zip(self.members, np.split(order, np.cumsum(rebuilt_sizes)[:-1])):
             if sorted(listed) != rows.tolist():
                 raise RuntimeError("membership lists out of sync with assignments")
+        rebuilt_planes = lik.AgreementPlanes(self.dataset.cardinalities, self.n)
+        rebuilt_planes.fill(self.entities[: self.n_clusters])
+        if not np.array_equal(rebuilt_planes.planes, self._planes.planes):
+            raise RuntimeError("agreement planes out of sync with entities")
         if math.isnan(self.log_joint()):
             raise RuntimeError("log joint is NaN")
 
@@ -505,10 +517,10 @@ def write_trace_jsonl(trace: PosteriorTrace, path) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def read_trace_jsonl(path, n: int = 0) -> PosteriorTrace:
+def read_trace_jsonl(path) -> PosteriorTrace:
     """Rows written by write_trace_jsonl; a malformed row or an empty file
-    raises DataError."""
-    trace = PosteriorTrace(n=n)
+    raises DataError.  The trace does not record n, so the result's n is 0."""
+    trace = PosteriorTrace(n=0)
     with open(path) as fh:
         for line_no, line in enumerate(fh, 1):
             try:

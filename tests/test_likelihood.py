@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 from allelink.likelihood import (
+    AgreementPlanes,
     Dataset,
     DistortionState,
     LikelihoodConfig,
@@ -16,7 +17,6 @@ from allelink.likelihood import (
     make_dataset,
     new_cluster_marginal_loglik,
     pattern_tables,
-    pattern_weights,
     record_loglik,
     resample_distortion,
     resample_entities,
@@ -96,26 +96,70 @@ class TestRecordLoglik:
         values = np.column_stack([rng.integers(0, d, size=n_records) for d in dims])
         entities = np.column_stack([rng.integers(0, d, size=n_entities) for d in dims])
         tables = pattern_tables(values, psi, freqs)
-        weights = pattern_weights(len(dims))
-        for x, table in zip(values, tables):
-            vec = entity_logliks(x, entities, table, weights)
+        planes = AgreementPlanes(dims, n_entities)
+        planes.fill(entities)
+        for x, rows, table in zip(values, planes.record_rows(values), tables):
+            vec = entity_logliks(x, entities, planes, rows, table)
             scalar = np.array([record_loglik(x, y, psi, freqs) for y in entities])
-            yield vec, scalar
+            yield x, entities, table, vec, scalar
 
     def test_vectorized_matches_scalar(self, rng):
         # equal bit for bit while every field sits in one pattern chunk
         for dims in [(3, 5), (2, 4, 3, 2, 5), (2, 3, 2, 3, 2, 3, 2, 3)]:
             for _ in range(10):
-                for vec, scalar in self._kernel_and_scalar(rng, dims):
+                for _, _, _, vec, scalar in self._kernel_and_scalar(rng, dims):
                     assert np.array_equal(vec, scalar)
 
     def test_vectorized_matches_scalar_over_field_chunks(self, rng):
-        # ten fields take two pattern chunks, whose subtotals are added last
+        # ten fields take two pattern chunks, whose subtotals are added last;
+        # the reference is the kernel that compared entity rows: an agreement
+        # row times each field's pattern bit gives every chunk's code
         dims = (2, 3, 2, 4, 2, 3, 2, 2, 3, 2)
-        assert pattern_weights(len(dims)).shape == (10, 2)
+        f = np.arange(len(dims))
+        weights = np.zeros((len(dims), 2), dtype=np.uint8)
+        weights[f, f // 8] = 1 << (f % 8)
         for _ in range(10):
-            for vec, scalar in self._kernel_and_scalar(rng, dims):
+            for x, entities, table, vec, scalar in self._kernel_and_scalar(rng, dims):
+                codes = (entities == x).view(np.uint8) @ weights
+                assert np.array_equal(vec, table[0, codes[:, 0]] + table[1, codes[:, 1]])
                 np.testing.assert_allclose(vec, scalar, rtol=1e-12)
+
+    def test_vectorized_matches_scalar_with_compared_fields(self, rng):
+        # a field too wide for the planes is compared against the entity column
+        for dims in [(3, 5, 200), (300, 4), (2, 3, 2, 4, 2, 3, 2, 2, 3, 5000)]:
+            assert (AgreementPlanes(dims, 1).offsets < 0).sum() == 1
+            for _ in range(3):
+                for _, _, _, vec, scalar in self._kernel_and_scalar(rng, dims):
+                    np.testing.assert_allclose(vec, scalar, rtol=1e-12)
+                    if len(dims) <= 8:
+                        assert np.array_equal(vec, scalar)
+
+
+class TestAgreementPlanes:
+    def test_rows_fit_the_pattern_table_width(self):
+        # one chunk of five fields: 8 bytes x 2^5 patterns = 256 rows per slot
+        planes = AgreementPlanes((2, 12, 31, 51, 6), 7)
+        assert planes.planes.shape == (102, 7)
+        assert planes.offsets.tolist() == [0, 2, 14, 45, 96]
+        # a field that would pass 8 x 2^6 = 512 rows is left out; later ones still fit
+        planes = AgreementPlanes((2, 12, 31, 51, 6, 20_000, 9), 7)
+        assert planes.offsets.tolist() == [0, 2, 14, 45, 96, -1, 102]
+        assert planes.chunks == [(slice(0, 6), [(5, 32)])]
+
+    def test_slots_hold_their_entities_bits(self, rng):
+        dims = (3, 4, 2, 5, 3, 2, 4, 3, 2, 3)
+        entities = np.column_stack([rng.integers(0, d, size=6) for d in dims])
+        planes = AgreementPlanes(dims, 9)
+        planes.fill(entities)
+        for f, d in enumerate(dims):
+            block = planes.planes[planes.offsets[f] : planes.offsets[f] + d]
+            expected = np.zeros((d, 9), dtype=np.uint8)
+            expected[entities[:, f], np.arange(6)] = 1 << (f % 8)
+            assert np.array_equal(block, expected)
+        planes.clear_slot(2, entities[2])
+        assert not planes.planes[:, 2].any()
+        planes.set_slot(7, entities[0])
+        assert np.array_equal(planes.planes[:, 7], planes.planes[:, 0])
 
 
 class TestNewClusterMarginal:

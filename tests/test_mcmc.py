@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -161,6 +162,12 @@ def _nan_psi(state):
     state.distortion = DistortionState(psi, d.prior_a, d.prior_b)
 
 
+def _change_an_entity(state):
+    # the entity moves to another value without its agreement planes
+    d = state.dataset.cardinalities[0]
+    state.entities[0, 0] = (state.entities[0, 0] + 1) % d
+
+
 class TestConsistencyCheckDetects:
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -169,8 +176,12 @@ class TestConsistencyCheckDetects:
             (_grow_a_size, "cluster sizes"),
             (_shift_a_size_count, "size counts"),
             (_nan_psi, "NaN"),
+            (_change_an_entity, "agreement planes"),
         ],
-        ids=["member-moved", "size-off-by-one", "size-count-shifted", "nan-psi"],
+        ids=[
+            "member-moved", "size-off-by-one", "size-count-shifted", "nan-psi",
+            "entity-without-plane",
+        ],
     )
     def test_corrupted_state_raises(self, rng, corrupt, message):
         ds = small_dataset()
@@ -213,10 +224,10 @@ class TestTableKernelDraws:
             # a new cluster takes the id after the remaining ones
             assert state.assign[i] == expected
 
-    def _state(self, psi_fixed):
+    def _state(self, psi_fixed, cardinalities=(3, 3, 3)):
         rng = np.random.default_rng(11)
-        values = rng.integers(0, 3, size=(12, 3))
-        ds = make_dataset(values, cardinalities=(3, 3, 3))
+        values = rng.integers(0, 3, size=(12, len(cardinalities)))
+        ds = make_dataset(values, cardinalities=cardinalities)
         prior = small_prior(cap=4, n=12)
         return ChainState(ds, prior, LikelihoodConfig(psi_fixed=psi_fixed), rng), rng
 
@@ -240,6 +251,48 @@ class TestTableKernelDraws:
             self._check_pass(state, rng)
             state.resample_entities(rng)
             state.resample_distortion(rng)
+
+    def test_same_draws_over_two_pattern_chunks(self):
+        state, rng = self._state(None, cardinalities=(3,) * 10)
+        assert len(state._planes.chunks) == 2
+        for _ in range(4):
+            self._check_pass(state, rng)
+            state.resample_entities(rng)
+            state.resample_distortion(rng)
+            state.consistency_check()
+
+    def test_same_draws_with_a_field_too_wide_for_the_planes(self):
+        # three fields allow 8 x 2^3 = 64 plane rows; the last would need 80
+        state, rng = self._state(None, cardinalities=(3, 3, 80))
+        assert state._planes.offsets.tolist() == [0, 3, -1]
+        for _ in range(4):
+            self._check_pass(state, rng)
+            state.resample_entities(rng)
+            state.resample_distortion(rng)
+            state.consistency_check()
+
+
+class TestMemory:
+    def test_distinct_field_keeps_memory_linear_in_n(self):
+        # an identifier column has n values; giving it plane rows would take
+        # n^2 bytes (400 MB here), so it is compared instead
+        rng = np.random.default_rng(4)
+        n = 20_000
+        dims = (2, 12, 31, 51, 6)
+        values = np.column_stack(
+            [rng.integers(0, d, size=n) for d in dims] + [np.arange(n)]
+        )
+        ds = make_dataset(values)
+        tracemalloc.start()
+        try:
+            state = ChainState(ds, EppParams(1.0), LikelihoodConfig(), rng)
+            for i in rng.choice(n, 50, replace=False):
+                state.reallocate_record(int(i), rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"chain state peaked at {peak / 2**20:.1f} MiB"
+        assert state._planes.offsets[-1] == -1
 
 
 class TestExactPosterior:
@@ -397,7 +450,7 @@ class TestTraceIO:
         trace = run_chain(cfg, ds, small_prior(), LikelihoodConfig(), truth)
         path = tmp_path / "trace.jsonl"
         write_trace_jsonl(trace, path)
-        loaded = read_trace_jsonl(path, n=5)
+        loaded = read_trace_jsonl(path)
         assert loaded.iters == trace.iters
         assert loaded.size_counts == trace.size_counts
         assert loaded.log_joint == trace.log_joint
