@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -440,12 +442,13 @@ def run_chain(
     Each chain starts from all singletons with entities drawn from their
     singleton conditionals and distortion at its prior mean (or pinned
     value), and owns an independent generator spawned from the seed.
-    Deterministic given the config and dataset.
+    Deterministic given the config and dataset: the chains run in
+    min(chains, usable CPUs) processes, and the merged trace does not
+    depend on that number.
     """
     like_config = like_config or LikelihoodConfig()
     if truth is not None and truth.n != dataset.n:
         raise ValueError("truth length does not match the dataset")
-    bounded = isinstance(prior, BbapParams)
     # the O(n^2) pair sampler is built only if a chaperone step can be drawn;
     # the move draw below consumes one uniform per sweep either way
     pair_sampler = (
@@ -453,46 +456,197 @@ def run_chain(
         if dataset.n >= 2 and config.move_mix > 0
         else None
     )
+    seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
+
+    def one_chain(chain_id: int, each_sweep: Callable[[], None] | None = None) -> PosteriorTrace:
+        return _run_one_chain(
+            config, dataset, prior, like_config, truth, pair_sampler,
+            seeds[chain_id], chain_id, each_sweep,
+        )
+
+    procs = min(config.chains, _usable_cpus())
+    parts = _run_forked(one_chain, config.chains, procs) if procs > 1 else None
+    if parts is None:
+        parts = [one_chain(c) for c in range(config.chains)]
     trace = PosteriorTrace(n=dataset.n)
     if truth is not None:
         trace.fnr = []
         trace.fdr = []
-    seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
-    for chain_id in range(config.chains):
-        rng = np.random.default_rng(seeds[chain_id])
-        state = ChainState(dataset, prior, like_config, rng)
-        kept = 0
-        for it in range(config.iterations):
-            if dataset.n >= 2 and rng.random() < config.move_mix:
-                chaperones_step(state, pair_sampler, rng, config.inner_sweeps)
-            else:
-                reallocation_pass(state, rng)
-            state.resample_entities(rng)
-            state.resample_distortion(rng)
-            if (it + 1) % config.check_every == 0:
-                state.consistency_check()
-            if it < config.burn_in or (it - config.burn_in) % config.thin != 0:
-                continue
-            if bounded and state.max_cluster_size() > prior.cap:
-                raise RuntimeError("bounded prior violated: cluster exceeds the cap")
-            counts = state.size_counts[1 : state.cap + 1]
-            if not bounded:
-                last = int(np.max(np.nonzero(counts)[0])) + 1 if counts.any() else 1
-                counts = counts[:last]
-            trace.iters.append(it)
-            trace.chain_ids.append(chain_id)
-            trace.n_clusters.append(int(state.n_clusters))
-            trace.size_counts.append(tuple(int(c) for c in counts))
-            trace.psi.append(tuple(float(p) for p in state.distortion.psi))
-            trace.log_joint.append(state.log_joint())
-            if truth is not None:
-                fnr, fdr = fnr_fdr(state.assign.tolist(), truth)
-                trace.fnr.append(fnr)
-                trace.fdr.append(fdr)
-            if kept % config.snapshot_stride == 0:
-                trace.snapshots.append((chain_id, it, state.linkage()))
-            kept += 1
+    for part in parts:
+        trace.iters += part.iters
+        trace.chain_ids += part.chain_ids
+        trace.n_clusters += part.n_clusters
+        trace.size_counts += part.size_counts
+        trace.psi += part.psi
+        trace.log_joint += part.log_joint
+        if truth is not None:
+            trace.fnr += part.fnr
+            trace.fdr += part.fdr
+        trace.snapshots += part.snapshots
     return trace
+
+
+def _run_one_chain(
+    config: SamplerConfig,
+    dataset: Dataset,
+    prior: PriorParams,
+    like_config: LikelihoodConfig,
+    truth: LinkageStructure | None,
+    pair_sampler: PairSampler | None,
+    seed: np.random.SeedSequence,
+    chain_id: int,
+    each_sweep: Callable[[], None] | None = None,
+) -> PosteriorTrace:
+    """Run one chain from its seed; the result holds that chain's rows only.
+
+    each_sweep, if given, is called with no arguments before every sweep.
+    """
+    bounded = isinstance(prior, BbapParams)
+    trace = PosteriorTrace(n=dataset.n)
+    if truth is not None:
+        trace.fnr = []
+        trace.fdr = []
+    rng = np.random.default_rng(seed)
+    state = ChainState(dataset, prior, like_config, rng)
+    kept = 0
+    for it in range(config.iterations):
+        if each_sweep is not None:
+            each_sweep()
+        if dataset.n >= 2 and rng.random() < config.move_mix:
+            chaperones_step(state, pair_sampler, rng, config.inner_sweeps)
+        else:
+            reallocation_pass(state, rng)
+        state.resample_entities(rng)
+        state.resample_distortion(rng)
+        if (it + 1) % config.check_every == 0:
+            state.consistency_check()
+        if it < config.burn_in or (it - config.burn_in) % config.thin != 0:
+            continue
+        if bounded and state.max_cluster_size() > prior.cap:
+            raise RuntimeError("bounded prior violated: cluster exceeds the cap")
+        counts = state.size_counts[1 : state.cap + 1]
+        if not bounded:
+            last = int(np.max(np.nonzero(counts)[0])) + 1 if counts.any() else 1
+            counts = counts[:last]
+        trace.iters.append(it)
+        trace.chain_ids.append(chain_id)
+        trace.n_clusters.append(int(state.n_clusters))
+        trace.size_counts.append(tuple(int(c) for c in counts))
+        trace.psi.append(tuple(float(p) for p in state.distortion.psi))
+        trace.log_joint.append(state.log_joint())
+        if truth is not None:
+            fnr, fdr = fnr_fdr(state.assign.tolist(), truth)
+            trace.fnr.append(fnr)
+            trace.fdr.append(fdr)
+        if kept % config.snapshot_stride == 0:
+            trace.snapshots.append((chain_id, it, state.linkage()))
+        kept += 1
+    return trace
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_forked(one_chain, chains: int, procs: int) -> list[PosteriorTrace] | None:
+    """Run chains 0, procs, 2*procs, ... here and the others round-robin in
+    procs - 1 forked workers; None where forking is unavailable or unsafe.
+
+    Forked workers read the dataset, prior and pair sampler in place
+    instead of receiving a pickled copy. A fork copies only the calling
+    thread, so a process that runs other Python threads runs its chains
+    in-process, as does a daemonic process, which may not start children.
+    A worker's exception is raised again here, and every worker has been
+    joined when this returns or raises.
+    """
+    import multiprocessing
+    import threading
+
+    if (
+        "fork" not in multiprocessing.get_all_start_methods()
+        or threading.active_count() > 1
+        or multiprocessing.current_process().daemon
+    ):
+        return None
+    ctx = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for w in range(1, procs):
+            receiver, sender = ctx.Pipe(duplex=False)
+            # the worker closes every read end it inherits, its own included,
+            # so a send to a parent that has gone fails instead of blocking
+            readers = [r for _, r in workers] + [receiver]
+            proc = ctx.Process(
+                target=_chain_worker,
+                args=(one_chain, range(w, chains, procs), sender, readers, os.getpid()),
+                daemon=True,
+            )
+            proc.start()
+            sender.close()
+            workers.append((proc, receiver))
+        parts = {c: one_chain(c) for c in range(0, chains, procs)}
+        for w, (proc, receiver) in enumerate(workers, 1):
+            try:
+                status, payload = receiver.recv()
+            except EOFError:
+                raise RuntimeError(
+                    f"chain worker {w} exited with code {proc.exitcode} before sending its chains"
+                ) from None
+            if status == "error":
+                raise payload
+            for c, packed in zip(range(w, chains, procs), payload):
+                parts[c] = _unpack_chain(packed, c)
+        return [parts[c] for c in range(chains)]
+    finally:
+        for proc, receiver in workers:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+            receiver.close()
+
+
+def _chain_worker(one_chain, chain_ids, sender, readers, parent: int) -> None:
+    """Run the given chains and send them, or the exception that stopped
+    them, to the parent in one message; exit if the parent has gone."""
+    import signal
+
+    # an interrupt reaches the parent, which then stops every worker
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for reader in readers:
+        reader.close()
+
+    def exit_if_orphaned() -> None:
+        if os.getppid() != parent:
+            os._exit(1)
+
+    try:
+        message = ("ok", [_pack_chain(one_chain(c, exit_if_orphaned)) for c in chain_ids])
+    except Exception as exc:  # noqa: BLE001 - re-raised by the parent
+        message = ("error", exc)
+    try:
+        sender.send(message)
+    except BrokenPipeError:
+        os._exit(1)
+
+
+def _pack_chain(part: PosteriorTrace) -> tuple[PosteriorTrace, list[int], np.ndarray]:
+    """A chain's rows with its snapshots as one int32 array, for the pipe."""
+    labels = np.array([xi.assignments for _, _, xi in part.snapshots], dtype=np.int32)
+    its = [it for _, it, _ in part.snapshots]
+    part.snapshots = []
+    return part, its, labels
+
+
+def _unpack_chain(
+    packed: tuple[PosteriorTrace, list[int], np.ndarray], chain_id: int
+) -> PosteriorTrace:
+    part, its, labels = packed
+    part.snapshots = [
+        (chain_id, it, LinkageStructure(tuple(row))) for it, row in zip(its, labels.tolist())
+    ]
+    return part
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import json
+import multiprocessing
+import os
 
 import pytest
 
-from allelink.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from allelink import mcmc
+from allelink.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
 from allelink.config import ConfigError, parse_config
 
 
@@ -366,3 +369,24 @@ class TestPipeline:
         for command, name in outputs.items():
             assert main([command, "--config", config_path]) == EXIT_OK
             assert (out / name).read_bytes() == before[name]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failed_chain_exits_runtime_whatever_the_cpu_count(
+        self, tmp_path, capsys, monkeypatch, cpus
+    ):
+        if cpus > 1 and "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        parent = os.getpid()
+
+        def fails(state):
+            # with two usable CPUs only the worker's chain fails
+            if cpus == 1 or os.getpid() != parent:
+                raise RuntimeError("cluster sizes out of sync with assignments")
+
+        monkeypatch.setattr(mcmc.ChainState, "consistency_check", fails)
+        config_path = write_config(tmp_path, pipeline_config(tmp_path))
+        assert main(["run", "--config", config_path]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == "error: cluster sizes out of sync with assignments\n"
+        assert not (tmp_path / "out" / "trace.jsonl").exists()
+        assert multiprocessing.active_children() == []

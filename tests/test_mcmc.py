@@ -1,12 +1,22 @@
 import copy
+import json
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import allelink
 from allelink import mcmc, priors
+from allelink.datagen import scenario_preset, simulate
 from allelink.likelihood import (
     DistortionState,
     LikelihoodConfig,
@@ -431,6 +441,186 @@ class TestRunChain:
             assert 1 <= len(state._factor_cache) <= 3
         # every fresh state is a miss and is recomputed
         assert len(calls) == 20
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+
+
+def use_cpus(monkeypatch, count):
+    """Make run_chain see `count` usable CPUs, however many the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def scenario_dataset():
+    spec = scenario_preset(2, n_clusters=20, psi=0.02, seed=3)
+    values, truth, _ = simulate(spec)
+    return make_dataset(values, spec.cardinalities), truth
+
+
+def exit_in_workers(monkeypatch, code):
+    """Make a forked worker exit with `code` before it runs a chain."""
+    parent = os.getpid()
+    original = mcmc._run_one_chain
+
+    def exits_in_a_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(code)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mcmc, "_run_one_chain", exits_in_a_worker)
+
+
+@needs_fork
+class TestParallelChains:
+    CONFIG = SamplerConfig(iterations=120, burn_in=40, thin=2, chains=3, seed=8,
+                           check_every=30, snapshot_stride=3)
+
+    @pytest.mark.parametrize("with_truth", [False, True])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_trace_does_not_depend_on_cpu_count(self, monkeypatch, cpus, with_truth):
+        ds, truth = scenario_dataset()
+        truth = truth if with_truth else None
+        use_cpus(monkeypatch, 1)
+        serial = run_chain(self.CONFIG, ds, small_prior(n=ds.n), LikelihoodConfig(), truth)
+        use_cpus(monkeypatch, cpus)
+        parallel = run_chain(self.CONFIG, ds, small_prior(n=ds.n), LikelihoodConfig(), truth)
+        assert serial.chain_ids == parallel.chain_ids
+        assert sorted(set(parallel.chain_ids)) == [0, 1, 2]
+        assert serial.iters == parallel.iters
+        assert serial.n_clusters == parallel.n_clusters
+        assert serial.size_counts == parallel.size_counts
+        assert serial.psi == parallel.psi
+        assert serial.log_joint == parallel.log_joint
+        assert serial.fnr == parallel.fnr
+        assert serial.fdr == parallel.fdr
+        assert (serial.fnr is None) == (truth is None)
+        assert serial.snapshots == parallel.snapshots
+        assert all(isinstance(xi, LinkageStructure) for _, _, xi in parallel.snapshots)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_failure_is_raised_in_the_parent(self, monkeypatch):
+        parent = os.getpid()
+        original = ChainState.consistency_check
+
+        def fails_in_a_worker(state):
+            if os.getpid() != parent:
+                raise RuntimeError("cluster sizes out of sync with assignments")
+            original(state)
+
+        monkeypatch.setattr(ChainState, "consistency_check", fails_in_a_worker)
+        use_cpus(monkeypatch, 2)
+        ds, _ = scenario_dataset()
+        with pytest.raises(RuntimeError, match="^cluster sizes out of sync with assignments$"):
+            run_chain(self.CONFIG, ds, small_prior(n=ds.n), LikelihoodConfig())
+        assert multiprocessing.active_children() == []
+
+    def test_parent_failure_stops_the_workers(self, monkeypatch):
+        parent = os.getpid()
+
+        message = "bounded prior violated: cluster exceeds the cap"
+
+        def fails_in_the_parent(state):
+            if os.getpid() == parent:
+                raise RuntimeError(message)
+
+        monkeypatch.setattr(ChainState, "consistency_check", fails_in_the_parent)
+        use_cpus(monkeypatch, 3)
+        ds, _ = scenario_dataset()
+        # each worker's chain would run for about 100 s if it were not stopped
+        cfg = SamplerConfig(iterations=10**5, burn_in=1, chains=3, seed=8, check_every=10)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            run_chain(cfg, ds, small_prior(n=ds.n), LikelihoodConfig())
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_exits_without_its_chains(self, monkeypatch):
+        exit_in_workers(monkeypatch, 3)
+        use_cpus(monkeypatch, 2)
+        ds, _ = scenario_dataset()
+        cfg = SamplerConfig(iterations=20, burn_in=10, chains=2, seed=8)
+        with pytest.raises(RuntimeError, match="exited with code 3 before sending its chains"):
+            run_chain(cfg, ds, small_prior(n=ds.n), LikelihoodConfig())
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("caller", ["with another thread", "daemonic"])
+    def test_chains_stay_in_process_where_a_fork_is_unsafe(self, monkeypatch, caller):
+        exit_in_workers(monkeypatch, 3)
+        use_cpus(monkeypatch, 2)
+        ds, _ = scenario_dataset()
+        cfg = SamplerConfig(iterations=20, burn_in=10, chains=2, seed=8)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if caller == "daemonic":
+            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        else:
+            thread.start()
+        try:
+            trace = run_chain(cfg, ds, small_prior(n=ds.n), LikelihoodConfig())
+        finally:
+            release.set()
+            if thread.is_alive():
+                thread.join(timeout=10)
+        assert sorted(set(trace.chain_ids)) == [0, 1]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/task"), reason="needs /proc")
+    def test_worker_exits_when_its_parent_is_killed(self, tmp_path):
+        config = {
+            "scenario": {"id": 2, "clusters": 30, "psi": 0.02, "seed": 5},
+            "prior": {"family": "bbap", "cap": 6},
+            "sampler": {"iterations": 10**7, "burn_in": 10, "chains": 2},
+            "output_dir": str(tmp_path / "out"),
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        script = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from allelink.cli import main\n"
+            f"sys.exit(main(['run', '--config', {str(config_path)!r}]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(allelink.__file__)))
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env)
+        try:
+            worker = _wait_for_child(proc.pid, timeout=60)
+            time.sleep(1.0)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert worker is not None, "the run started no worker"
+        deadline = time.monotonic() + 5
+        while _running(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if _running(worker):
+            os.kill(worker, signal.SIGKILL)
+            pytest.fail("the worker outlived its parent by more than 5 s")
+
+
+def _wait_for_child(pid: int, timeout: float) -> int | None:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            for task in os.listdir(f"/proc/{pid}/task"):
+                with open(f"/proc/{pid}/task/{task}/children") as fh:
+                    children = fh.read().split()
+                if children:
+                    return int(children[0])
+        except FileNotFoundError:
+            return None
+        time.sleep(0.05)
+    return None
+
+
+def _running(pid: int) -> bool:
+    """True while the process exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state != "Z"
 
 
 def _ess(x: np.ndarray) -> float:
