@@ -19,7 +19,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from . import datagen, estimation, evaluation, mcmc, priors
+from . import datagen, estimation, evaluation, mcmc, parallel, priors
 from .config import COMMANDS, ConfigError, RunConfig, parse_config
 from .datagen import DataError
 from .likelihood import Dataset, make_dataset
@@ -131,22 +131,35 @@ def _cmd_run(cfg: RunConfig, rundir: _RunDir) -> None:
     mcmc.write_snapshots_csv(trace, rundir.path("xi_snapshots.csv"))
 
 
-def _load_snapshots(cfg: RunConfig) -> list[LinkageStructure]:
+def _load_snapshots(cfg: RunConfig) -> np.ndarray:
+    """The last samples_used snapshots by iteration, then chain, as one
+    (S, n) label matrix."""
     path = os.path.join(cfg.output_dir, "xi_snapshots.csv")
     if not os.path.exists(path):
         raise DataError(f"no linkage snapshots at '{path}'; run the sampler first")
-    snaps = mcmc.read_snapshots_csv(path)
-    if not snaps:
+    chains, iters, labels = mcmc.read_snapshots_csv(path)
+    if not len(labels):
         raise DataError(f"snapshot file '{path}' holds no samples")
-    snaps.sort(key=lambda rec: (rec[1], rec[0]))  # iteration then chain
-    take = min(cfg.estimation.samples_used, len(snaps))
-    return [xi for _, _, xi in snaps[-take:]]
+    take = min(cfg.estimation.samples_used, len(labels))
+    # stable, so rows with the same iteration and chain keep their file order
+    return labels[np.lexsort((chains, iters))[-take:]]
+
+
+# the nid search takes longest and binder's least: started first, the long
+# searches do not end up sharing a process
+_SEARCH_ORDER = ("nid", "vi", "binder")
 
 
 def _cmd_estimate(cfg: RunConfig, rundir: _RunDir) -> None:
     samples = _load_snapshots(cfg)
+    losses = sorted(set(cfg.estimation.losses), key=_SEARCH_ORDER.index)
+
+    def search(task: int, checkpoint) -> LinkageStructure:
+        return estimation.greedy_epl(samples, losses[task], cfg.estimation.greedy(cfg.seed))
+
+    estimates = dict(zip(losses, parallel.run_tasks(search, len(losses), "estimate")))
     for loss in cfg.estimation.losses:
-        estimate = estimation.greedy_epl(samples, loss, cfg.estimation.greedy(cfg.seed))
+        estimate = estimates[loss]
         epl = estimation.expected_posterior_loss(estimate, samples, loss)
         with open(rundir.path(f"estimate_{loss}.csv"), "w") as fh:
             fh.write(",".join(map(str, estimate.assignments)) + "\n")
@@ -173,7 +186,11 @@ def _trace_summary(cfg: RunConfig, trace_path: str,
     trace = mcmc.read_trace_jsonl(trace_path)
     snap_path = os.path.join(cfg.output_dir, "xi_snapshots.csv")
     if truth is not None and trace.fnr is None and os.path.exists(snap_path):
-        trace.snapshots = mcmc.read_snapshots_csv(snap_path)
+        chains, iters, labels = mcmc.read_snapshots_csv(snap_path)
+        trace.snapshots = [
+            (chain, it, LinkageStructure(tuple(row)))
+            for chain, it, row in zip(chains.tolist(), iters.tolist(), labels.tolist())
+        ]
     return evaluation.summarize_trace(trace, truth)
 
 

@@ -6,6 +6,13 @@ loss: starting from one of the samples, records are moved one at a time to
 whichever cluster lowers the sample-averaged loss the most, until a full
 sweep makes no move.
 
+The posterior samples are one (S, n) int32 matrix of canonical assignment
+rows, as `allelink estimate` reads them from its snapshot file; a
+sequence of LinkageStructure is stacked into that matrix.  The expected
+loss of a candidate takes every sample's contingency table with it from
+one np.unique and gives one loss per sample; pairwise_loss is the
+per-pair definition those values match.
+
 The sweep engine evaluates every candidate move against every sample at
 once.  All three losses depend on a candidate move only through the
 contingency counts between the candidate's clusters and the sample cluster
@@ -35,7 +42,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .partitions import LinkageStructure, canonicalize, contingency, pair_counts
+from .partitions import (
+    LinkageStructure,
+    canonical_rows,
+    canonicalize,
+    contingency,
+    pair_counts,
+)
 
 LOSS_KINDS = ("binder", "vi", "nid")
 
@@ -45,13 +58,23 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown loss kind '{kind}'; expected one of {LOSS_KINDS}")
 
 
-def _check_samples(samples: Sequence[LinkageStructure]) -> int:
-    if not samples:
+Samples = np.ndarray | Sequence[LinkageStructure]
+
+
+def _label_matrix(samples: Samples) -> np.ndarray:
+    """Posterior samples as one (S, n) int32 matrix of canonical assignment
+    rows; a sequence of LinkageStructure is stacked, a matrix is checked."""
+    if not isinstance(samples, np.ndarray):
+        if not samples:
+            raise ValueError("need at least one posterior sample")
+        if any(s.n != samples[0].n for s in samples):
+            raise ValueError("samples must share a common record count")
+        return np.array([s.assignments for s in samples], dtype=np.int32)
+    if samples.ndim != 2 or samples.size == 0:
         raise ValueError("need at least one posterior sample")
-    n = samples[0].n
-    if any(s.n != n for s in samples):
-        raise ValueError("samples must share a common record count")
-    return n
+    if not canonical_rows(samples).all():
+        raise ValueError("sample rows must use labels 1..K in first-appearance order")
+    return samples.astype(np.int32, copy=False)
 
 
 def pairwise_loss(a: LinkageStructure, b: LinkageStructure, kind: str) -> float:
@@ -87,14 +110,81 @@ def pairwise_loss(a: LinkageStructure, b: LinkageStructure, kind: str) -> float:
     return min(max(1.0 - info / top, 0.0), 1.0)
 
 
-def expected_posterior_loss(
-    candidate: LinkageStructure, samples: Sequence[LinkageStructure], kind: str
-) -> float:
-    """Mean pairwise loss between a candidate and the posterior samples."""
-    n = _check_samples(samples)
-    if candidate.n != n:
+def expected_posterior_loss(candidate: LinkageStructure, samples: Samples, kind: str) -> float:
+    """Mean pairwise loss between a candidate and the posterior samples.
+
+    The per-sample losses are summed in sample order and divided by the
+    sample count, as a loop over pairwise_loss would do.
+    """
+    _check_kind(kind)
+    labels = _label_matrix(samples)
+    if candidate.n != labels.shape[1]:
         raise ValueError("candidate length does not match the samples")
-    return sum(pairwise_loss(candidate, s, kind) for s in samples) / len(samples)
+    return sum(_sample_losses(candidate, labels, kind).tolist()) / len(labels)
+
+
+# label entries per block of samples in _sample_losses, which holds about
+# ten 8-byte arrays of this length at a time
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _sample_losses(candidate: LinkageStructure, labels: np.ndarray, kind: str) -> np.ndarray:
+    """pairwise_loss(candidate, row, kind) for every row of a label matrix.
+
+    Each block of samples gets its contingency tables against the
+    candidate from one np.unique over (sample cluster, candidate cluster)
+    keys, with the sample clusters numbered across the block's samples.
+    Each cell and marginal term is pairwise_loss's own; Binder's integer
+    pair counts are exact, so its values keep their bits, while VI and NID
+    add a sample's terms in cell order instead of first-appearance order
+    and can differ in the last digits.  No value depends on the blocking.
+    """
+    n_samples, n = labels.shape
+    if n < 2:
+        return np.zeros(n_samples)
+    cand = np.asarray(candidate.assignments, dtype=np.int64) - 1
+    size_a = np.bincount(cand)
+    step = max(1, _BLOCK_ENTRIES // n)
+    return np.concatenate([
+        _block_losses(cand, size_a, labels[s : s + step], kind)
+        for s in range(0, n_samples, step)
+    ])
+
+
+def _block_losses(cand, size_a, labels, kind) -> np.ndarray:
+    n_samples, n = labels.shape
+    k = len(size_a)
+    # a canonical row uses every label 1..K_s, so the numbering has no gaps
+    k_s = labels.max(axis=1).astype(np.int64)
+    first = np.cumsum(k_s) - k_s
+    owner = np.repeat(np.arange(n_samples), k_s)  # sample of each sample cluster
+    cluster = (labels - 1 + first[:, None]).ravel()
+    size_b = np.bincount(cluster, minlength=int(k_s.sum()))
+    cells, joint = np.unique(cluster * k + np.tile(cand, n_samples), return_counts=True)
+    b, a = np.divmod(cells, k)
+    cell_owner = owner[b]
+    if kind == "binder":
+        pairs_a = int((size_a * (size_a - 1) // 2).sum())
+        pairs_b = np.bincount(owner, weights=size_b * (size_b - 1) // 2, minlength=n_samples)
+        pairs_ab = np.bincount(cell_owner, weights=joint * (joint - 1) // 2, minlength=n_samples)
+        return (pairs_a + pairs_b - 2 * pairs_ab) / (n * (n - 1) // 2)
+    p_a = size_a / n
+    h_a = -float((p_a * np.log(p_a)).sum())
+    p_b = size_b / n
+    h_b = -np.bincount(owner, weights=p_b * np.log(p_b), minlength=n_samples)
+    info = np.bincount(
+        cell_owner,
+        weights=joint / n * np.log(joint * n / (size_a[a] * size_b[b])),
+        minlength=n_samples,
+    )
+    np.maximum(info, 0.0, out=info)
+    if kind == "vi":
+        return np.maximum(h_a + h_b - 2.0 * info, 0.0)
+    top = np.maximum(h_a, h_b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nid = np.clip(1.0 - info / top, 0.0, 1.0)
+    nid[top <= 0.0] = 0.0
+    return nid
 
 
 @dataclass(frozen=True)
@@ -116,7 +206,7 @@ class GreedyConfig:
 
 
 def greedy_epl(
-    samples: Sequence[LinkageStructure], kind: str, config: GreedyConfig | None = None
+    samples: Samples, kind: str, config: GreedyConfig | None = None
 ) -> LinkageStructure:
     """Greedy expected-posterior-loss minimizer over single-record moves.
 
@@ -125,7 +215,6 @@ def greedy_epl(
     and stops after a moveless sweep or the sweep budget.
     """
     _check_kind(kind)
-    _check_samples(samples)
     return _GreedyEngine(samples, kind, config or GreedyConfig()).run()
 
 
@@ -133,9 +222,8 @@ class _GreedyEngine:
     def __init__(self, samples, kind, config):
         self.kind = kind
         self.config = config
-        self.n = samples[0].n
-        self.n_samples = len(samples)
-        self.smat = np.array([s.assignments for s in samples], dtype=np.int32)
+        self.smat = _label_matrix(samples)
+        self.n_samples, self.n = self.smat.shape
         self.rng = np.random.default_rng(config.seed)
         self.max_clusters = config.max_clusters or self.n
 
@@ -153,9 +241,9 @@ class _GreedyEngine:
         self.sample_ids = np.arange(n_samples)
         self.row_starts = self.sample_ids * (n_labels + 1)
 
-        init = samples[int(self.rng.integers(self.n_samples))]
-        self.assign = np.array(init.assignments, dtype=np.int64) - 1
-        self.n_clusters = init.n_clusters
+        init = self.smat[int(self.rng.integers(self.n_samples))]
+        self.assign = init.astype(np.int64) - 1
+        self.n_clusters = int(init.max())
         # a search never holds more than n clusters
         self.sizes = np.bincount(self.assign, minlength=self.n + 1)
 

@@ -10,19 +10,20 @@ are plain Gibbs steps and need no acceptance correction.
 
 from __future__ import annotations
 
+import io
 import json
 import math
-import os
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import likelihood as lik
-from . import priors
+from . import parallel, priors
 from .datagen import DataError
 from .likelihood import Dataset, DistortionState, LikelihoodConfig
-from .partitions import LinkageStructure, canonicalize, fnr_fdr
+from .partitions import LinkageStructure, canonical_rows, canonicalize, fnr_fdr
 from .priors import BbapParams, PriorParams
 
 NEG_INF = float("-inf")
@@ -458,21 +459,17 @@ def run_chain(
     )
     seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
 
-    def one_chain(chain_id: int, each_sweep: Callable[[], None] | None = None) -> PosteriorTrace:
+    def one_chain(chain_id: int, checkpoint: Callable[[], None] | None) -> PosteriorTrace:
         return _run_one_chain(
             config, dataset, prior, like_config, truth, pair_sampler,
-            seeds[chain_id], chain_id, each_sweep,
+            seeds[chain_id], chain_id, checkpoint,
         )
 
-    procs = min(config.chains, _usable_cpus())
-    parts = _run_forked(one_chain, config.chains, procs) if procs > 1 else None
-    if parts is None:
-        parts = [one_chain(c) for c in range(config.chains)]
     trace = PosteriorTrace(n=dataset.n)
     if truth is not None:
         trace.fnr = []
         trace.fdr = []
-    for part in parts:
+    for part in parallel.run_tasks(one_chain, config.chains, "chain"):
         trace.iters += part.iters
         trace.chain_ids += part.chain_ids
         trace.n_clusters += part.n_clusters
@@ -544,111 +541,6 @@ def _run_one_chain(
     return trace
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_forked(one_chain, chains: int, procs: int) -> list[PosteriorTrace] | None:
-    """Run chains 0, procs, 2*procs, ... here and the others round-robin in
-    procs - 1 forked workers; None where forking is unavailable or unsafe.
-
-    Forked workers read the dataset, prior and pair sampler in place
-    instead of receiving a pickled copy. A fork copies only the calling
-    thread, so a process that runs other Python threads runs its chains
-    in-process, as does a daemonic process, which may not start children.
-    A worker's exception is raised again here, and every worker has been
-    joined when this returns or raises.
-    """
-    import multiprocessing
-    import threading
-
-    if (
-        "fork" not in multiprocessing.get_all_start_methods()
-        or threading.active_count() > 1
-        or multiprocessing.current_process().daemon
-    ):
-        return None
-    ctx = multiprocessing.get_context("fork")
-    workers = []
-    try:
-        for w in range(1, procs):
-            receiver, sender = ctx.Pipe(duplex=False)
-            # the worker closes every read end it inherits, its own included,
-            # so a send to a parent that has gone fails instead of blocking
-            readers = [r for _, r in workers] + [receiver]
-            proc = ctx.Process(
-                target=_chain_worker,
-                args=(one_chain, range(w, chains, procs), sender, readers, os.getpid()),
-                daemon=True,
-            )
-            proc.start()
-            sender.close()
-            workers.append((proc, receiver))
-        parts = {c: one_chain(c) for c in range(0, chains, procs)}
-        for w, (proc, receiver) in enumerate(workers, 1):
-            try:
-                status, payload = receiver.recv()
-            except EOFError:
-                raise RuntimeError(
-                    f"chain worker {w} exited with code {proc.exitcode} before sending its chains"
-                ) from None
-            if status == "error":
-                raise payload
-            for c, packed in zip(range(w, chains, procs), payload):
-                parts[c] = _unpack_chain(packed, c)
-        return [parts[c] for c in range(chains)]
-    finally:
-        for proc, receiver in workers:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join()
-            receiver.close()
-
-
-def _chain_worker(one_chain, chain_ids, sender, readers, parent: int) -> None:
-    """Run the given chains and send them, or the exception that stopped
-    them, to the parent in one message; exit if the parent has gone."""
-    import signal
-
-    # an interrupt reaches the parent, which then stops every worker
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for reader in readers:
-        reader.close()
-
-    def exit_if_orphaned() -> None:
-        if os.getppid() != parent:
-            os._exit(1)
-
-    try:
-        message = ("ok", [_pack_chain(one_chain(c, exit_if_orphaned)) for c in chain_ids])
-    except Exception as exc:  # noqa: BLE001 - re-raised by the parent
-        message = ("error", exc)
-    try:
-        sender.send(message)
-    except BrokenPipeError:
-        os._exit(1)
-
-
-def _pack_chain(part: PosteriorTrace) -> tuple[PosteriorTrace, list[int], np.ndarray]:
-    """A chain's rows with its snapshots as one int32 array, for the pipe."""
-    labels = np.array([xi.assignments for _, _, xi in part.snapshots], dtype=np.int32)
-    its = [it for _, it, _ in part.snapshots]
-    part.snapshots = []
-    return part, its, labels
-
-
-def _unpack_chain(
-    packed: tuple[PosteriorTrace, list[int], np.ndarray], chain_id: int
-) -> PosteriorTrace:
-    part, its, labels = packed
-    part.snapshots = [
-        (chain_id, it, LinkageStructure(tuple(row))) for it, row in zip(its, labels.tolist())
-    ]
-    return part
-
-
 # ---------------------------------------------------------------------------
 # trace serialization
 
@@ -707,17 +599,51 @@ def write_snapshots_csv(trace: PosteriorTrace, path) -> None:
             fh.write(",".join(map(str, (chain_id, it) + xi.assignments)) + "\n")
 
 
-def read_snapshots_csv(path) -> list[tuple[int, int, LinkageStructure]]:
-    """Rows written by write_snapshots_csv; a malformed row raises DataError."""
-    out = []
+def read_snapshots_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows written by write_snapshots_csv: the chain and iteration columns
+    (int64) and the (S, n) int32 matrix of canonical assignment rows.
+
+    The file is parsed in one call and its label rows checked for
+    canonical form all at once; only if that fails is it read again line
+    by line, so that a malformed row raises DataError naming its line.
+    An empty file gives S = 0.
+    """
     with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            try:
-                parts = [int(v) for v in line.strip().split(",")]
-                xi = LinkageStructure(tuple(parts[2:]))
-                if out and xi.n != out[0][2].n:
-                    raise ValueError(f"{xi.n} records, expected {out[0][2].n}")
-            except ValueError as exc:
-                raise DataError(f"snapshot file '{path}' line {line_no}: {exc}") from exc
-            out.append((parts[0], parts[1], xi))
-    return out
+        text = fh.read()
+    if not text:
+        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, 0), np.int32)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(
+                text.split("\n"), delimiter=",", dtype=np.int32, ndmin=2, comments=None
+            )
+    except (ValueError, Warning):
+        rows = None
+    # the bulk parse skips blank lines, which the line reader rejects
+    lines = text.count("\n") + (not text.endswith("\n"))
+    if (
+        rows is None
+        or len(rows) != lines
+        or rows.shape[1] < 3
+        or not canonical_rows(rows[:, 2:]).all()
+    ):
+        rows = _read_snapshot_lines(path, text)
+    chains, iters = rows[:, :2].T.astype(np.int64)
+    return chains, iters, rows[:, 2:].astype(np.int32)
+
+
+def _read_snapshot_lines(path, text: str) -> np.ndarray:
+    """The snapshot rows parsed one line at a time; the first malformed
+    row raises DataError naming its line."""
+    out = []
+    for line_no, line in enumerate(io.StringIO(text), 1):
+        try:
+            parts = [int(v) for v in line.strip().split(",")]
+            xi = LinkageStructure(tuple(parts[2:]))
+            if out and xi.n != len(out[0]) - 2:
+                raise ValueError(f"{xi.n} records, expected {len(out[0]) - 2}")
+        except ValueError as exc:
+            raise DataError(f"snapshot file '{path}' line {line_no}: {exc}") from exc
+        out.append(parts)
+    return np.array(out, dtype=np.int64)

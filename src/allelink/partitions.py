@@ -16,6 +16,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
+import numpy as np
+
 ENUMERATION_LIMIT = 12
 
 
@@ -71,6 +73,21 @@ class LinkageStructure:
 
     def max_cluster_size(self) -> int:
         return max(self.cluster_sizes())
+
+
+def canonical_rows(labels: np.ndarray) -> np.ndarray:
+    """Per row of an integer matrix, whether it is a canonical assignment
+    vector (labels 1..K in first-appearance order), as LinkageStructure
+    requires: the first label is 1 and every label is at least 1 and at
+    most one more than the largest label before it."""
+    if labels.shape[1] == 0:
+        return np.zeros(len(labels), dtype=bool)
+    running_max = np.maximum.accumulate(labels, axis=1)
+    return (
+        (labels[:, 0] == 1)
+        & (labels >= 1).all(axis=1)
+        & (labels[:, 1:] <= running_max[:, :-1] + 1).all(axis=1)
+    )
 
 
 @dataclass(frozen=True)

@@ -390,3 +390,69 @@ class TestPipeline:
         assert capsys.readouterr().err == "error: cluster sizes out of sync with assignments\n"
         assert not (tmp_path / "out" / "trace.jsonl").exists()
         assert multiprocessing.active_children() == []
+
+
+def write_posterior_snapshots(out, n=40, n_samples=60, seed=4):
+    """A snapshot file of perturbed copies of one partition, in two chains."""
+    import numpy as np
+
+    from allelink.partitions import canonicalize
+
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, n // 3, size=n)
+    rows = []
+    for s in range(n_samples):
+        labels = base.copy()
+        moved = rng.choice(n, size=3, replace=False)
+        labels[moved] = rng.integers(0, n // 3 + 2, size=3)
+        rows.append(",".join(map(str, (s % 2, s // 2) + canonicalize(labels).assignments)))
+    out.mkdir()
+    (out / "xi_snapshots.csv").write_text("".join(row + "\n" for row in rows))
+
+
+class TestParallelEstimate:
+    @pytest.fixture(autouse=True)
+    def _needs_fork(self):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+
+    def test_estimates_do_not_depend_on_cpu_count(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        write_posterior_snapshots(out)
+        body = pipeline_config(tmp_path)
+        body["estimation"]["losses"] = ["binder", "vi", "nid"]
+        config_path = write_config(tmp_path, body)
+        written = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            assert main(["estimate", "--config", config_path]) == EXIT_OK
+            assert multiprocessing.active_children() == []
+            written[cpus] = {path.name: path.read_bytes() for path in out.glob("estimate_*")}
+        assert len(written[1]) == 6
+        assert written[1] == written[2] == written[3]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failed_search_exits_runtime_whatever_the_cpu_count(
+        self, tmp_path, capsys, monkeypatch, cpus
+    ):
+        from allelink import estimation
+
+        out = tmp_path / "out"
+        write_posterior_snapshots(out)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        parent = os.getpid()
+        search = estimation.greedy_epl
+
+        def fails(samples, kind, config):
+            # with two usable CPUs the vi search runs in the worker
+            if cpus == 1 or os.getpid() != parent:
+                raise RuntimeError("search failed")
+            return search(samples, kind, config)
+
+        monkeypatch.setattr(estimation, "greedy_epl", fails)
+        config_path = write_config(tmp_path, pipeline_config(tmp_path))
+        assert main(["estimate", "--config", config_path]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == "error: search failed\n"
+        assert not list(out.glob("estimate_*"))
+        assert multiprocessing.active_children() == []

@@ -123,6 +123,46 @@ class TestExpectedPosteriorLoss:
         with pytest.raises(ValueError):
             expected_posterior_loss(LinkageStructure((1,)), [], "binder")
 
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_matches_pairwise_oracle(self, kind, monkeypatch):
+        """All samples' losses come from one vectorized pass.  Binder's pair
+        counts are exact integers, so it equals the oracle's mean bit for
+        bit.  VI and NID add the same per-cell log terms, but in sorted
+        cell order (a bincount) where the oracle adds them in its Counter's
+        first-appearance order, so they agree only to rounding.  Splitting
+        the samples into blocks changes no value."""
+        rng = np.random.default_rng(17)
+        cases = []
+        for _ in range(80):
+            n = int(rng.integers(1, 61))
+            spread = lambda: int(rng.integers(1, n + 1))  # noqa: E731
+            candidate = random_partition(rng, n, spread())
+            samples = [random_partition(rng, n, spread()) for _ in range(rng.integers(1, 41))]
+            cases.append((candidate, samples))
+        for n in (1, 2, 7):
+            one = LinkageStructure((1,) * n)
+            singletons = canonicalize(range(n))
+            # both trivial partitions, against each other and themselves: NID's 0/0 case
+            for candidate in (one, singletons):
+                cases.append((candidate, [one, singletons, one]))
+        # a candidate with more clusters than any sample
+        cases.append((canonicalize(range(12)), [random_partition(rng, 12, 3) for _ in range(5)]))
+        for candidate, samples in cases:
+            oracle = sum(pairwise_loss(candidate, s, kind) for s in samples) / len(samples)
+            got = expected_posterior_loss(candidate, samples, kind)
+            matrix = np.array([s.assignments for s in samples], dtype=np.int32)
+            with monkeypatch.context() as blocks:
+                blocks.setattr(estimation, "_BLOCK_ENTRIES", 50)
+                assert expected_posterior_loss(candidate, matrix, kind) == got
+            if kind == "binder":
+                assert got == oracle
+            else:
+                assert math.isclose(got, oracle, rel_tol=1e-12, abs_tol=1e-15)
+
+    def test_non_canonical_matrix_rejected(self):
+        with pytest.raises(ValueError, match="first-appearance order"):
+            expected_posterior_loss(LinkageStructure((1, 2)), np.array([[2, 1]]), "vi")
+
 
 def perturbed_samples(rng, base: LinkageStructure, count: int, flips: int = 1):
     """Posterior-style sample set: the base partition with a few records moved."""
@@ -203,6 +243,13 @@ class TestGreedyEpl:
         samples = [random_partition(rng, 10) for _ in range(6)]
         est = greedy_epl(samples, "vi", GreedyConfig(seed=2, sweeps=1))
         assert est.n == 10
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_label_matrix_gives_the_same_estimate(self, kind, rng):
+        samples = perturbed_samples(rng, canonicalize([1, 1, 2, 3, 3, 4, 4, 5]), 9, flips=2)
+        matrix = np.array([s.assignments for s in samples], dtype=np.int32)
+        config = GreedyConfig(seed=3)
+        assert greedy_epl(matrix, kind, config) == greedy_epl(samples, kind, config)
 
     def test_candidate_scores_match_direct_epl_deltas(self, rng):
         # at every state the search passes through, each single move's score

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import pytest
 
 import allelink
 from allelink import mcmc, priors
-from allelink.datagen import scenario_preset, simulate
+from allelink.datagen import DataError, scenario_preset, simulate
 from allelink.likelihood import (
     DistortionState,
     LikelihoodConfig,
@@ -516,6 +517,26 @@ class TestParallelChains:
             run_chain(self.CONFIG, ds, small_prior(n=ds.n), LikelihoodConfig())
         assert multiprocessing.active_children() == []
 
+    def test_worker_failure_is_raised_before_the_parent_chain_ends(self, monkeypatch):
+        parent = os.getpid()
+        original = ChainState.consistency_check
+
+        def fails_in_a_worker(state):
+            if os.getpid() != parent:
+                raise RuntimeError("cluster sizes out of sync with assignments")
+            original(state)
+
+        monkeypatch.setattr(ChainState, "consistency_check", fails_in_a_worker)
+        use_cpus(monkeypatch, 2)
+        ds, _ = scenario_dataset()
+        # the parent's own chain would run for about 3 s; the worker fails at sweep 10
+        cfg = SamplerConfig(iterations=3000, burn_in=10, chains=2, seed=8, check_every=10)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="^cluster sizes out of sync with assignments$"):
+            run_chain(cfg, ds, small_prior(n=ds.n), LikelihoodConfig())
+        assert time.monotonic() - start < 0.5
+        assert multiprocessing.active_children() == []
+
     def test_parent_failure_stops_the_workers(self, monkeypatch):
         parent = os.getpid()
 
@@ -653,10 +674,30 @@ class TestTraceIO:
         trace = run_chain(cfg, ds, small_prior(), LikelihoodConfig())
         path = tmp_path / "snaps.csv"
         write_snapshots_csv(trace, path)
-        loaded = read_snapshots_csv(path)
-        assert [(c, i, xi.assignments) for c, i, xi in loaded] == [
+        chains, iters, labels = read_snapshots_csv(path)
+        assert labels.dtype == np.int32
+        assert list(zip(chains.tolist(), iters.tolist(), map(tuple, labels.tolist()))) == [
             (c, i, xi.assignments) for c, i, xi in trace.snapshots
         ]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,436,1,2,x,3", "invalid literal for int() with base 10: 'x'"),
+            ("0,436,1,0,2,3", "got label 0 after 1 clusters"),
+            ("0,436,0,1,2,3", "got label 0 after 0 clusters"),
+            ("", "invalid literal for int() with base 10: ''"),
+        ],
+        ids=["non-integer", "label-0", "label-0-first", "blank"],
+    )
+    def test_malformed_row_is_named_by_its_line(self, tmp_path, row, message):
+        rows = [f"{it % 2},{it},1,2,1,3" for it in range(500)]
+        rows[436] = row
+        path = tmp_path / "snaps.csv"
+        path.write_text("".join(r + "\n" for r in rows))
+        with pytest.raises(DataError, match=re.escape(f"snaps.csv' line 437: ") + ".*"
+                           + re.escape(message)):
+            read_snapshots_csv(path)
 
     def test_byte_identical_files_same_seed(self, tmp_path):
         ds = small_dataset()
