@@ -169,13 +169,21 @@ def _cmd_estimate(cfg: RunConfig, rundir: _RunDir) -> None:
             fh.write("\n")
 
 
-def _read_estimate(cfg: RunConfig, loss: str) -> LinkageStructure | None:
+def _read_estimate(cfg: RunConfig, loss: str, n: int) -> LinkageStructure | None:
+    """The estimate of one loss, or None if it has no file; a malformed
+    row or one of other than n records raises DataError."""
     path = os.path.join(cfg.output_dir, f"estimate_{loss}.csv")
     if not os.path.exists(path):
         return None
     with open(path) as fh:
-        labels = [int(v) for v in fh.readline().strip().split(",")]
-    return LinkageStructure(tuple(labels))
+        line = fh.readline()
+    try:
+        estimate = LinkageStructure(tuple(int(v) for v in line.strip().split(",")))
+        if estimate.n != n:
+            raise ValueError(f"{estimate.n} records, expected {n}")
+    except ValueError as exc:
+        raise DataError(f"estimate file '{path}': {exc}") from exc
+    return estimate
 
 
 def _trace_summary(cfg: RunConfig, trace_path: str,
@@ -185,7 +193,7 @@ def _trace_summary(cfg: RunConfig, trace_path: str,
     rates recorded in the trace."""
     trace = mcmc.read_trace_jsonl(trace_path)
     snap_path = os.path.join(cfg.output_dir, "xi_snapshots.csv")
-    if truth is not None and trace.fnr is None and os.path.exists(snap_path):
+    if truth is not None and "fnr" not in trace.rows[0] and os.path.exists(snap_path):
         chains, iters, labels = mcmc.read_snapshots_csv(snap_path)
         trace.snapshots = [
             (chain, it, LinkageStructure(tuple(row)))
@@ -203,7 +211,7 @@ def _cmd_evaluate(cfg: RunConfig, rundir: _RunDir) -> None:
     if os.path.exists(trace_path):
         reports.append(_trace_summary(cfg, trace_path, truth).report.to_dict())
     for loss in cfg.estimation.losses:
-        estimate = _read_estimate(cfg, loss)
+        estimate = _read_estimate(cfg, loss, truth.n)
         if estimate is None:
             continue
         report = evaluation.point_estimate_report(estimate, truth).to_dict()

@@ -84,6 +84,14 @@ def _reject_unknown(block: dict, allowed: set[str], where: str) -> None:
             raise ConfigError(f"unknown config key '{where}{key}'")
 
 
+def _int(value) -> int:
+    """A JSON integer, or a float with an integral value (1e4 is 10000);
+    booleans and fractional numbers are rejected, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _get(block: dict, key: str, default, caster, where: str):
     if key not in block or block[key] is None:
         return default
@@ -96,11 +104,11 @@ def _get(block: dict, key: str, default, caster, where: str):
 def _parse_scenario(block: dict) -> ScenarioSpec:
     allowed = {"id", "clusters", "psi", "cardinalities", "sizes", "weights", "seed"}
     _reject_unknown(block, allowed, "scenario.")
-    seed = _get(block, "seed", 0, int, "scenario.")
-    clusters = _get(block, "clusters", 200, int, "scenario.")
-    cards = tuple(_get(block, "cardinalities", DEFAULT_CARDINALITIES, lambda v: [int(x) for x in v], "scenario."))
+    seed = _get(block, "seed", 0, _int, "scenario.")
+    clusters = _get(block, "clusters", 200, _int, "scenario.")
+    cards = tuple(_get(block, "cardinalities", DEFAULT_CARDINALITIES, lambda v: [_int(x) for x in v], "scenario."))
     psi = _get(block, "psi", 0.05, _scalar_or_floats, "scenario.")
-    scenario_id = _get(block, "id", None, int, "scenario.")
+    scenario_id = _get(block, "id", None, _int, "scenario.")
     if scenario_id is not None:
         try:
             spec = scenario_preset(scenario_id, clusters, psi, cards, seed)
@@ -109,7 +117,7 @@ def _parse_scenario(block: dict) -> ScenarioSpec:
         if "sizes" in block or "weights" in block:
             raise ConfigError("scenario: give either 'id' or explicit 'sizes'/'weights', not both")
         return spec
-    sizes = _get(block, "sizes", None, lambda v: tuple(int(s) for s in v), "scenario.")
+    sizes = _get(block, "sizes", None, lambda v: tuple(_int(s) for s in v), "scenario.")
     weights = _get(block, "weights", None, lambda v: tuple(float(w) for w in v), "scenario.")
     if sizes is None or weights is None:
         raise ConfigError("scenario needs an 'id' or explicit 'sizes' and 'weights'")
@@ -174,11 +182,11 @@ def _parse_prior(block: dict, base_dir: str) -> PriorConfig:
     if family not in ("bbap", "epp"):
         raise ConfigError(f"'prior.family' must be 'bbap' or 'epp'; got '{family}'")
     if family == "epp":
-        theta = _get(block, "theta", 1.0, float, "prior.")
+        theta = _get(block, "theta", PriorConfig.theta, float, "prior.")
         if theta <= 0:
             raise ConfigError("'prior.theta' must be positive")
         return PriorConfig(family="epp", theta=theta)
-    cap = _get(block, "cap", None, int, "prior.")
+    cap = _get(block, "cap", None, _int, "prior.")
     if cap is None:
         raise ConfigError("'prior.cap' is required for the bbap family")
     if cap < 2:
@@ -193,11 +201,11 @@ def _parse_prior(block: dict, base_dir: str) -> PriorConfig:
 def _parse_likelihood(block: dict) -> LikelihoodConfig:
     allowed = {"psi_prior_mean", "psi_prior_sd", "smoothing_eps", "psi_fixed"}
     _reject_unknown(block, allowed, "likelihood.")
-    mean = _get(block, "psi_prior_mean", 0.01, float, "likelihood.")
-    sd = _get(block, "psi_prior_sd", 0.01, float, "likelihood.")
-    eps = _get(block, "smoothing_eps", 0.01, float, "likelihood.")
+    mean = _get(block, "psi_prior_mean", LikelihoodConfig.psi_prior_mean, float, "likelihood.")
+    sd = _get(block, "psi_prior_sd", LikelihoodConfig.psi_prior_sd, float, "likelihood.")
+    eps = _get(block, "smoothing_eps", LikelihoodConfig.smoothing_eps, float, "likelihood.")
     psi_fixed = _get(
-        block, "psi_fixed", None,
+        block, "psi_fixed", LikelihoodConfig.psi_fixed,
         lambda v: tuple(float(p) for p in v) if isinstance(v, (list, tuple)) else float(v),
         "likelihood.",
     )
@@ -215,16 +223,20 @@ def _parse_sampler(block: dict, seed: int) -> SamplerConfig:
     _reject_unknown(block, allowed, "sampler.")
     try:
         return SamplerConfig(
-            iterations=_get(block, "iterations", 20_000, int, "sampler."),
-            burn_in=_get(block, "burn_in", 10_000, int, "sampler."),
-            thin=_get(block, "thin", 1, int, "sampler."),
-            chains=_get(block, "chains", 2, int, "sampler."),
+            iterations=_get(block, "iterations", 20_000, _int, "sampler."),
+            burn_in=_get(block, "burn_in", 10_000, _int, "sampler."),
+            thin=_get(block, "thin", SamplerConfig.thin, _int, "sampler."),
+            chains=_get(block, "chains", SamplerConfig.chains, _int, "sampler."),
             seed=seed,
-            move_mix=_get(block, "move_mix", 0.9, float, "sampler."),
-            chaperone_floor=_get(block, "chaperone_floor", 0.1, float, "sampler."),
-            inner_sweeps=_get(block, "inner_sweeps", 5, int, "sampler."),
-            snapshot_stride=_get(block, "snapshot_stride", 10, int, "sampler."),
-            check_every=_get(block, "check_every", 1000, int, "sampler."),
+            move_mix=_get(block, "move_mix", SamplerConfig.move_mix, float, "sampler."),
+            chaperone_floor=_get(
+                block, "chaperone_floor", SamplerConfig.chaperone_floor, float, "sampler."
+            ),
+            inner_sweeps=_get(block, "inner_sweeps", SamplerConfig.inner_sweeps, _int, "sampler."),
+            snapshot_stride=_get(
+                block, "snapshot_stride", SamplerConfig.snapshot_stride, _int, "sampler."
+            ),
+            check_every=_get(block, "check_every", SamplerConfig.check_every, _int, "sampler."),
         )
     except ValueError as exc:
         raise ConfigError(f"sampler: {exc}") from exc
@@ -233,18 +245,18 @@ def _parse_sampler(block: dict, seed: int) -> SamplerConfig:
 def _parse_estimation(block: dict) -> EstimationConfig:
     allowed = {"losses", "samples_used", "sweeps", "max_clusters"}
     _reject_unknown(block, allowed, "estimation.")
-    losses = block.get("losses", list(LOSS_KINDS))
+    losses = block.get("losses", list(EstimationConfig.losses))
     if not isinstance(losses, list) or not all(isinstance(v, str) for v in losses):
         raise ConfigError("'estimation.losses' must be a list of loss names")
     losses = tuple(losses)
     for loss in losses:
         if loss not in LOSS_KINDS:
             raise ConfigError(f"'estimation.losses' entry '{loss}' is not one of {LOSS_KINDS}")
-    samples_used = _get(block, "samples_used", 2000, int, "estimation.")
-    sweeps = _get(block, "sweeps", 100, int, "estimation.")
+    samples_used = _get(block, "samples_used", EstimationConfig.samples_used, _int, "estimation.")
+    sweeps = _get(block, "sweeps", EstimationConfig.sweeps, _int, "estimation.")
     if samples_used < 1 or sweeps < 1:
         raise ConfigError("'estimation.samples_used' and 'estimation.sweeps' must be positive")
-    max_clusters = _get(block, "max_clusters", None, int, "estimation.")
+    max_clusters = _get(block, "max_clusters", EstimationConfig.max_clusters, _int, "estimation.")
     if max_clusters is not None and max_clusters < 1:
         raise ConfigError("'estimation.max_clusters' must be at least 1")
     return EstimationConfig(losses, samples_used, sweeps, max_clusters)
@@ -295,8 +307,8 @@ def parse_config(
     command = command or raw.get("command")
     if command not in COMMANDS:
         raise ConfigError(f"'command' must be one of {COMMANDS}; got {command!r}")
-    seed = _get(raw, "seed", 0, int, "")
-    draws = _get(raw, "draws", 1000, int, "")
+    seed = _get(raw, "seed", 0, _int, "")
+    draws = _get(raw, "draws", 1000, _int, "")
     if draws < 1:
         raise ConfigError("'draws' must be positive")
     output_dir = raw.get("output_dir")

@@ -88,14 +88,15 @@ def summarize_trace(
     object.  Error rates require either rates recorded in the trace or
     linkage snapshots to recompute them from.
     """
-    if len(trace) == 0:
+    rows = trace.rows
+    if not rows:
         raise ValueError("empty trace")
-    cap = max(len(r) for r in trace.size_counts)
-    mat = np.zeros((len(trace), cap))
-    for row, counts in enumerate(trace.size_counts):
-        mat[row, : len(counts)] = counts
+    cap = max(len(row["r"]) for row in rows)
+    mat = np.zeros((len(rows), cap))
+    for idx, row in enumerate(rows):
+        mat[idx, : len(row["r"])] = row["r"]
     quantiles = np.percentile(mat, _QUANTILES, axis=0).T
-    k_counts = dict(sorted(Counter(trace.n_clusters).items()))
+    k_counts = dict(sorted(Counter(row["K"] for row in rows).items()))
 
     report = None
     truth_counts = None
@@ -103,12 +104,12 @@ def summarize_trace(
         truth_allelic = to_allelic(truth)
         truth_counts = [truth_allelic.count_of(s) for s in range(1, cap + 1)]
         js_vals = [
-            js_distance(AllelicPartition(tuple(int(v) for v in r)), truth_allelic)
-            for r in trace.size_counts
+            js_distance(AllelicPartition(tuple(int(v) for v in row["r"])), truth_allelic)
+            for row in rows
         ]
-        if trace.fnr is not None:
-            fnr = float(np.mean(trace.fnr))
-            fdr = float(np.mean(trace.fdr))
+        if "fnr" in rows[0]:
+            fnr = float(np.mean([row["fnr"] for row in rows]))
+            fdr = float(np.mean([row["fdr"] for row in rows]))
         elif trace.snapshots:
             rates = [fnr_fdr(xi, truth) for _, _, xi in trace.snapshots]
             fnr = float(np.mean([r[0] for r in rates]))
@@ -119,7 +120,7 @@ def summarize_trace(
             fnr=fnr,
             fdr=fdr,
             js=float(np.mean(js_vals)),
-            n_clusters=int(np.median(trace.n_clusters)),
+            n_clusters=int(np.median([row["K"] for row in rows])),
             source="posterior-average",
         )
     return TraceSummary(

@@ -71,21 +71,18 @@ class SamplerConfig:
 
 @dataclass
 class PosteriorTrace:
-    """Per-kept-iteration summaries plus strided full linkage snapshots."""
+    """One row per kept iteration plus strided full linkage snapshots.
 
-    n: int
-    iters: list[int] = field(default_factory=list)
-    chain_ids: list[int] = field(default_factory=list)
-    n_clusters: list[int] = field(default_factory=list)
-    size_counts: list[tuple[int, ...]] = field(default_factory=list)
-    psi: list[tuple[float, ...]] = field(default_factory=list)
-    log_joint: list[float] = field(default_factory=list)
-    fnr: list[float] | None = None
-    fdr: list[float] | None = None
+    A row is the object trace.jsonl stores: iter, chain, K, r (the counts
+    of clusters of each size from 1), psi and logJoint, and fnr and fdr
+    when the run had a truth to score against.
+    """
+
+    rows: list[dict] = field(default_factory=list)
     snapshots: list[tuple[int, int, LinkageStructure]] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.iters)
+        return len(self.rows)
 
 
 class PairSampler:
@@ -390,13 +387,6 @@ def reallocation_pass(state: ChainState, rng: np.random.Generator) -> None:
         state.reallocate_record(i, rng)
 
 
-def full_gibbs_scan(state: ChainState, rng: np.random.Generator) -> None:
-    """Full composite sweep: reallocation pass plus both conjugate updates."""
-    reallocation_pass(state, rng)
-    state.resample_entities(rng)
-    state.resample_distortion(rng)
-
-
 def chaperones_step(
     state: ChainState,
     pair_sampler: PairSampler,
@@ -465,20 +455,9 @@ def run_chain(
             seeds[chain_id], chain_id, checkpoint,
         )
 
-    trace = PosteriorTrace(n=dataset.n)
-    if truth is not None:
-        trace.fnr = []
-        trace.fdr = []
+    trace = PosteriorTrace()
     for part in parallel.run_tasks(one_chain, config.chains, "chain"):
-        trace.iters += part.iters
-        trace.chain_ids += part.chain_ids
-        trace.n_clusters += part.n_clusters
-        trace.size_counts += part.size_counts
-        trace.psi += part.psi
-        trace.log_joint += part.log_joint
-        if truth is not None:
-            trace.fnr += part.fnr
-            trace.fdr += part.fdr
+        trace.rows += part.rows
         trace.snapshots += part.snapshots
     return trace
 
@@ -499,10 +478,7 @@ def _run_one_chain(
     each_sweep, if given, is called with no arguments before every sweep.
     """
     bounded = isinstance(prior, BbapParams)
-    trace = PosteriorTrace(n=dataset.n)
-    if truth is not None:
-        trace.fnr = []
-        trace.fdr = []
+    trace = PosteriorTrace()
     rng = np.random.default_rng(seed)
     state = ChainState(dataset, prior, like_config, rng)
     kept = 0
@@ -525,16 +501,17 @@ def _run_one_chain(
         if not bounded:
             last = int(np.max(np.nonzero(counts)[0])) + 1 if counts.any() else 1
             counts = counts[:last]
-        trace.iters.append(it)
-        trace.chain_ids.append(chain_id)
-        trace.n_clusters.append(int(state.n_clusters))
-        trace.size_counts.append(tuple(int(c) for c in counts))
-        trace.psi.append(tuple(float(p) for p in state.distortion.psi))
-        trace.log_joint.append(state.log_joint())
+        row = {
+            "iter": it,
+            "chain": chain_id,
+            "K": int(state.n_clusters),
+            "r": counts.tolist(),
+            "psi": state.distortion.psi.tolist(),
+            "logJoint": state.log_joint(),
+        }
         if truth is not None:
-            fnr, fdr = fnr_fdr(state.assign.tolist(), truth)
-            trace.fnr.append(fnr)
-            trace.fdr.append(fdr)
+            row["fnr"], row["fdr"] = fnr_fdr(state.assign.tolist(), truth)
+        trace.rows.append(row)
         if kept % config.snapshot_stride == 0:
             trace.snapshots.append((chain_id, it, state.linkage()))
         kept += 1
@@ -548,46 +525,39 @@ def _run_one_chain(
 def write_trace_jsonl(trace: PosteriorTrace, path) -> None:
     """One JSON object per kept iteration; keys stable for byte determinism."""
     with open(path, "w") as fh:
-        for idx in range(len(trace)):
-            row = {
-                "iter": trace.iters[idx],
-                "chain": trace.chain_ids[idx],
-                "K": trace.n_clusters[idx],
-                "r": list(trace.size_counts[idx]),
-                "psi": list(trace.psi[idx]),
-                "logJoint": trace.log_joint[idx],
-            }
-            if trace.fnr is not None:
-                row["fnr"] = trace.fnr[idx]
-                row["fdr"] = trace.fdr[idx]
+        for row in trace.rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+# every row holds these; fnr and fdr come together or not at all
+_TRACE_KEYS = ("iter", "chain", "K", "r", "psi", "logJoint")
+_RATE_KEYS = ("fnr", "fdr")
+
+
 def read_trace_jsonl(path) -> PosteriorTrace:
-    """Rows written by write_trace_jsonl; a malformed row or an empty file
-    raises DataError.  The trace does not record n, so the result's n is 0."""
-    trace = PosteriorTrace(n=0)
+    """Rows written by write_trace_jsonl.  A malformed row, a row whose keys
+    differ from the first row's, or an empty file raises DataError."""
+    trace = PosteriorTrace()
     with open(path) as fh:
         for line_no, line in enumerate(fh, 1):
             try:
                 row = json.loads(line)
-                trace.iters.append(row["iter"])
-                trace.chain_ids.append(row["chain"])
-                trace.n_clusters.append(row["K"])
-                trace.size_counts.append(tuple(row["r"]))
-                trace.psi.append(tuple(row["psi"]))
-                trace.log_joint.append(row["logJoint"])
-                if "fnr" in row:
-                    if trace.fnr is None:
-                        trace.fnr = []
-                        trace.fdr = []
-                    trace.fnr.append(row["fnr"])
-                    trace.fdr.append(row["fdr"])
+                rates = _RATE_KEYS if any(key in row for key in _RATE_KEYS) else ()
+                # a missing key raises KeyError, a non-iterable r or psi TypeError
+                for key in _TRACE_KEYS + rates:
+                    row[key]
+                tuple(row["r"]), tuple(row["psi"])
             except KeyError as exc:
                 raise DataError(f"trace file '{path}' line {line_no}: no key {exc}") from exc
             except (ValueError, TypeError) as exc:
                 raise DataError(f"trace file '{path}' line {line_no}: {exc}") from exc
-    if not trace.iters:
+            if trace.rows and row.keys() != trace.rows[0].keys():
+                raise DataError(
+                    f"trace file '{path}' line {line_no}: keys {sorted(row)} "
+                    f"differ from line 1's {sorted(trace.rows[0])}"
+                )
+            trace.rows.append(row)
+    if not trace.rows:
         raise DataError(f"trace file '{path}' holds no rows")
     return trace
 

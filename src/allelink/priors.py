@@ -304,14 +304,6 @@ def sample_count_matrix(
     return out
 
 
-def prior_count_moments(
-    params: PriorParams, n: int, draws: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo mean and variance of the per-size cluster counts."""
-    mat = sample_count_matrix(params, n, draws, rng)
-    return mat.mean(axis=0), mat.var(axis=0, ddof=1)
-
-
 # ---------------------------------------------------------------------------
 # calibration
 

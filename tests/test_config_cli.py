@@ -54,6 +54,12 @@ class TestParseConfig:
         assert cfg.likelihood.psi_prior_sd == 0.01
         assert cfg.estimation.samples_used == 2000
 
+    def test_integral_float_is_an_integer(self, tmp_path):
+        body = pipeline_config(tmp_path)
+        body["sampler"]["iterations"] = 1e4
+        cfg = parse_config(write_config(tmp_path, body), command="run")
+        assert cfg.sampler.iterations == 10_000 and type(cfg.sampler.iterations) is int
+
     def test_unknown_key_named(self, tmp_path):
         path = write_config(tmp_path, {"pirior": {}, "output_dir": "o", "dataset": "d"})
         with pytest.raises(ConfigError, match="pirior"):
@@ -273,6 +279,13 @@ class TestPipeline:
             ("prior", {"family": "bbap", "cap": 4,
                        "calibration": {"family": "informed", "path": 5}},
              "'prior.calibration.path'"),
+            # integer keys take integral numbers only: nothing is truncated
+            ("sampler", {"iterations": 260, "burn_in": 60, "thin": 2.5},
+             "'sampler.thin': 2.5 is not an integer"),
+            ("sampler", {"iterations": 260, "burn_in": 60, "chains": True},
+             "'sampler.chains': True is not an integer"),
+            ("estimation", {"samples_used": 0.5},
+             "'estimation.samples_used': 0.5 is not an integer"),
         ],
     )
     def test_malformed_value_is_config_error_naming_key(self, tmp_path, capsys, block, value, key):
@@ -315,9 +328,12 @@ class TestPipeline:
             (["not json"], "trace.jsonl' line 2: Expecting value"),
             ([json.dumps({"iter": 1, "K": 2, "r": [1, 1], "psi": [0.01], "logJoint": -1.0})],
              "trace.jsonl' line 2: no key 'chain'"),
+            ([json.dumps({"iter": 1, "chain": 0, "K": 2, "r": [1, 1], "psi": [0.01],
+                          "logJoint": -1.0, "fnr": 0.5, "fdr": 0.0})],
+             "trace.jsonl' line 2: keys"),
             (None, "trace.jsonl' holds no rows"),
         ],
-        ids=["not-json", "missing-key", "empty"],
+        ids=["not-json", "missing-key", "rates-on-some-rows", "empty"],
     )
     def test_malformed_trace_is_data_error(self, tmp_path, capsys, command, rows, message):
         out = tmp_path / "out"
@@ -328,6 +344,24 @@ class TestPipeline:
         config_path = write_config(tmp_path, pipeline_config(tmp_path))
         assert main([command, "--config", config_path]) == EXIT_DATA
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,x,2", "invalid literal for int()"),
+            ("", "invalid literal for int()"),
+            ("1,1,2", "3 records, expected"),
+        ],
+        ids=["non-integer", "empty", "other-record-count"],
+    )
+    def test_malformed_estimate_is_data_error(self, tmp_path, capsys, row, message):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "estimate_binder.csv").write_text(row + "\n" if row else "")
+        config_path = write_config(tmp_path, pipeline_config(tmp_path))
+        assert main(["evaluate", "--config", config_path]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "estimate_binder.csv'" in err and message in err
 
     def test_estimate_evaluates_each_loss_once(self, tmp_path, monkeypatch):
         from allelink import estimation

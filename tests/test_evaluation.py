@@ -89,17 +89,13 @@ class TestJsDistance:
 
 
 def toy_trace(size_counts_rows, truth=None, with_rates=False):
-    trace = PosteriorTrace(n=sum((i + 1) * c for i, c in enumerate(size_counts_rows[0])))
+    trace = PosteriorTrace()
     for idx, counts in enumerate(size_counts_rows):
-        trace.iters.append(idx)
-        trace.chain_ids.append(0)
-        trace.n_clusters.append(sum(counts))
-        trace.size_counts.append(tuple(counts))
-        trace.psi.append((0.01,))
-        trace.log_joint.append(-1.0)
-    if with_rates:
-        trace.fnr = [0.1] * len(size_counts_rows)
-        trace.fdr = [0.2] * len(size_counts_rows)
+        row = {"iter": idx, "chain": 0, "K": sum(counts), "r": list(counts),
+               "psi": [0.01], "logJoint": -1.0}
+        if with_rates:
+            row["fnr"], row["fdr"] = 0.1, 0.2
+        trace.rows.append(row)
     return trace
 
 
@@ -145,7 +141,7 @@ class TestSummarizeTrace:
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
-            summarize_trace(PosteriorTrace(n=3))
+            summarize_trace(PosteriorTrace())
 
     def test_truth_without_rates_or_snapshots_rejected(self):
         with pytest.raises(ValueError):

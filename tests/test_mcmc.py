@@ -28,10 +28,8 @@ from allelink.likelihood import (
 from allelink.mcmc import (
     ChainState,
     PairSampler,
-    PosteriorTrace,
     SamplerConfig,
     chaperones_step,
-    full_gibbs_scan,
     read_snapshots_csv,
     read_trace_jsonl,
     reallocation_pass,
@@ -79,7 +77,9 @@ class TestMoves:
         ds = make_dataset(np.array([[0, 1]]), cardinalities=(2, 2))
         prior = BbapParams(cap=2, a=(1.0,), b=(1.0,))
         state = ChainState(ds, prior, LikelihoodConfig(psi_fixed=0.1), rng)
-        full_gibbs_scan(state, rng)
+        reallocation_pass(state, rng)
+        state.resample_entities(rng)
+        state.resample_distortion(rng)
         assert state.linkage().assignments == (1,)
 
     def test_shared_pair_cluster_is_noop(self, rng):
@@ -345,10 +345,10 @@ class TestRunChain:
         trace = run_chain(cfg, ds, small_prior(), LikelihoodConfig())
         kept_per_chain = math.ceil((220 - 100) / 3)
         assert len(trace) == 2 * kept_per_chain
-        assert min(trace.iters) == 100
-        assert set(trace.chain_ids) == {0, 1}
-        assert all(len(p) == 2 for p in trace.psi)
-        assert trace.fnr is None
+        assert min(row["iter"] for row in trace.rows) == 100
+        assert {row["chain"] for row in trace.rows} == {0, 1}
+        assert all(len(row["psi"]) == 2 for row in trace.rows)
+        assert all("fnr" not in row and "fdr" not in row for row in trace.rows)
         assert len(trace.snapshots) == 2 * math.ceil(kept_per_chain / 5)
 
     def test_truth_adds_error_rates_consistent_with_pairsets(self):
@@ -358,23 +358,22 @@ class TestRunChain:
         cfg = SamplerConfig(iterations=60, burn_in=20, chains=1, seed=4,
                             check_every=50, snapshot_stride=1)
         trace = run_chain(cfg, ds, small_prior(), LikelihoodConfig(), truth)
-        assert trace.fnr is not None and len(trace.fnr) == len(trace)
+        assert all("fnr" in row and "fdr" in row for row in trace.rows)
         for chain, it, xi in trace.snapshots:
             declared = matched_pairs(xi)
             fnr = len(actual - declared) / len(actual)
             fdr = len(declared - actual) / len(declared) if declared else 0.0
-            row = trace.iters.index(it)
-            assert math.isclose(trace.fnr[row], fnr, abs_tol=1e-12)
-            assert math.isclose(trace.fdr[row], fdr, abs_tol=1e-12)
+            kept = next(row for row in trace.rows if row["iter"] == it)
+            assert math.isclose(kept["fnr"], fnr, abs_tol=1e-12)
+            assert math.isclose(kept["fdr"], fdr, abs_tol=1e-12)
 
     def test_seeded_determinism(self):
         ds = small_dataset()
         cfg = SamplerConfig(iterations=300, burn_in=100, chains=2, seed=11, check_every=100)
         first = run_chain(cfg, ds, small_prior(), LikelihoodConfig())
         second = run_chain(cfg, ds, small_prior(), LikelihoodConfig())
-        assert first.log_joint == second.log_joint
-        assert first.size_counts == second.size_counts
-        assert first.psi == second.psi
+        for key in ("logJoint", "r", "psi"):
+            assert [row[key] for row in first.rows] == [row[key] for row in second.rows]
         assert [s[2].assignments for s in first.snapshots] == [
             s[2].assignments for s in second.snapshots
         ]
@@ -383,8 +382,8 @@ class TestRunChain:
         ds = small_dataset()
         cfg = SamplerConfig(iterations=4_000, burn_in=1_000, chains=2, seed=2, check_every=2000)
         trace = run_chain(cfg, ds, small_prior(), LikelihoodConfig(psi_fixed=0.05))
-        ks = np.array(trace.n_clusters, dtype=float)
-        chains = np.array(trace.chain_ids)
+        ks = np.array([row["K"] for row in trace.rows], dtype=float)
+        chains = np.array([row["chain"] for row in trace.rows])
         k0, k1 = ks[chains == 0], ks[chains == 1]
         pooled_se = math.sqrt(k0.var(ddof=1) / _ess(k0) + k1.var(ddof=1) / _ess(k1))
         assert abs(k0.mean() - k1.mean()) < 4 * pooled_se
@@ -405,7 +404,7 @@ class TestRunChain:
         trace = run_chain(cfg, ds, EppParams(1.0), LikelihoodConfig())
         assert len(trace) == 150
         # size counts are trimmed to the largest occupied size
-        assert all(r[-1] > 0 for r in trace.size_counts)
+        assert all(row["r"][-1] > 0 for row in trace.rows)
 
     def test_no_pair_sampler_without_chaperone_moves(self, monkeypatch):
         def refuse(self, *args, **kwargs):
@@ -487,16 +486,9 @@ class TestParallelChains:
         serial = run_chain(self.CONFIG, ds, small_prior(n=ds.n), LikelihoodConfig(), truth)
         use_cpus(monkeypatch, cpus)
         parallel = run_chain(self.CONFIG, ds, small_prior(n=ds.n), LikelihoodConfig(), truth)
-        assert serial.chain_ids == parallel.chain_ids
-        assert sorted(set(parallel.chain_ids)) == [0, 1, 2]
-        assert serial.iters == parallel.iters
-        assert serial.n_clusters == parallel.n_clusters
-        assert serial.size_counts == parallel.size_counts
-        assert serial.psi == parallel.psi
-        assert serial.log_joint == parallel.log_joint
-        assert serial.fnr == parallel.fnr
-        assert serial.fdr == parallel.fdr
-        assert (serial.fnr is None) == (truth is None)
+        assert sorted({row["chain"] for row in parallel.rows}) == [0, 1, 2]
+        assert serial.rows == parallel.rows
+        assert all(("fnr" in row) == (truth is not None) for row in serial.rows)
         assert serial.snapshots == parallel.snapshots
         assert all(isinstance(xi, LinkageStructure) for _, _, xi in parallel.snapshots)
         assert multiprocessing.active_children() == []
@@ -584,7 +576,7 @@ class TestParallelChains:
             release.set()
             if thread.is_alive():
                 thread.join(timeout=10)
-        assert sorted(set(trace.chain_ids)) == [0, 1]
+        assert sorted({row["chain"] for row in trace.rows}) == [0, 1]
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/task"), reason="needs /proc")
     def test_worker_exits_when_its_parent_is_killed(self, tmp_path):
@@ -662,10 +654,7 @@ class TestTraceIO:
         path = tmp_path / "trace.jsonl"
         write_trace_jsonl(trace, path)
         loaded = read_trace_jsonl(path)
-        assert loaded.iters == trace.iters
-        assert loaded.size_counts == trace.size_counts
-        assert loaded.log_joint == trace.log_joint
-        assert loaded.fnr == trace.fnr
+        assert loaded.rows == trace.rows
 
     def test_snapshot_round_trip(self, tmp_path):
         ds = small_dataset()

@@ -20,7 +20,6 @@ from allelink.priors import (
     log_density_bbap_linkage,
     log_density_epp_allelic,
     log_density_epp_linkage,
-    prior_count_moments,
     reallocation_weights,
     sample_count_matrix,
     sample_prior,
@@ -369,11 +368,6 @@ class TestMoments:
         expected = params.a[1] / (params.a[1] + params.b[1]) * (n // 3)
         se = top.std(ddof=1) / math.sqrt(draws)
         assert abs(top.mean() - expected) < 3 * se
-
-    def test_count_moments_shape(self, rng):
-        params = BbapParams(cap=3, a=(1.0, 1.0), b=(1.0, 1.0))
-        mean, var = prior_count_moments(params, 30, 500, rng)
-        assert mean.shape == (3,) and var.shape == (3,)
 
 
 class TestBoundedSupport:
