@@ -131,15 +131,22 @@ def _cmd_run(cfg: RunConfig, rundir: _RunDir) -> None:
     mcmc.write_snapshots_csv(trace, rundir.path("xi_snapshots.csv"))
 
 
-def _load_snapshots(cfg: RunConfig) -> np.ndarray:
-    """The last samples_used snapshots by iteration, then chain, as one
-    (S, n) label matrix."""
+def _read_snapshots(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The run's snapshot file as read_snapshots_csv gives it; a missing or
+    empty file raises DataError."""
     path = os.path.join(cfg.output_dir, "xi_snapshots.csv")
     if not os.path.exists(path):
         raise DataError(f"no linkage snapshots at '{path}'; run the sampler first")
     chains, iters, labels = mcmc.read_snapshots_csv(path)
     if not len(labels):
         raise DataError(f"snapshot file '{path}' holds no samples")
+    return chains, iters, labels
+
+
+def _load_snapshots(cfg: RunConfig) -> np.ndarray:
+    """The last samples_used snapshots by iteration, then chain, as one
+    (S, n) label matrix."""
+    chains, iters, labels = _read_snapshots(cfg)
     take = min(cfg.estimation.samples_used, len(labels))
     # stable, so rows with the same iteration and chain keep their file order
     return labels[np.lexsort((chains, iters))[-take:]]
@@ -190,11 +197,11 @@ def _trace_summary(cfg: RunConfig, trace_path: str,
                    truth: LinkageStructure | None) -> evaluation.TraceSummary:
     """Summary of the trace.  The linkage snapshots are read only where
     summarize_trace needs them: a truth to score against and no error
-    rates recorded in the trace."""
+    rates recorded in the trace; then a missing or empty snapshot file
+    raises DataError."""
     trace = mcmc.read_trace_jsonl(trace_path)
-    snap_path = os.path.join(cfg.output_dir, "xi_snapshots.csv")
-    if truth is not None and "fnr" not in trace.rows[0] and os.path.exists(snap_path):
-        chains, iters, labels = mcmc.read_snapshots_csv(snap_path)
+    if truth is not None and "fnr" not in trace.rows[0]:
+        chains, iters, labels = _read_snapshots(cfg)
         trace.snapshots = [
             (chain, it, LinkageStructure(tuple(row)))
             for chain, it, row in zip(chains.tolist(), iters.tolist(), labels.tolist())

@@ -32,6 +32,15 @@ order and the member offsets), and its scores equal the dense
 samples-by-clusters formulas bit for bit.  Moves compare candidate scores
 only, so the engine tracks no objective value; the caller evaluates the
 estimate's expected loss once with expected_posterior_loss.
+
+Most records of a posterior with many small clusters are unanimous: every
+sample puts them in the same member set.  One pass over the samples, in
+O(n) extra memory, finds them.  A unanimous record whose current cluster
+is exactly that set is settled: no move of it strictly lowers any of the
+three losses (_GreedyEngine._settled has the proof), so the sweep skips
+it before counting its matches.  The skip changes no move, and the
+engine's generator draws only the initial sample and the sweep orders,
+so every estimate is what scoring every record would give.
 """
 
 from __future__ import annotations
@@ -233,13 +242,26 @@ class _GreedyEngine:
         n_labels = int(self.smat.max()) + 1
         self.order = np.empty(n_samples * n, dtype=np.int32)
         starts = np.empty((n_samples, n_labels + 1), dtype=np.int32)
+        # a record whose sample cluster is the same set in every sample: it
+        # shares a label with the first member of its sample-0 cluster in a
+        # cluster of that cluster's size, and so does every other member
+        label0 = self.smat[0]
+        agrees = np.ones(n, dtype=bool)
         for s in range(n_samples):
-            self.order[s * n : (s + 1) * n] = np.argsort(self.smat[s], kind="stable")
+            row = self.smat[s]
+            self.order[s * n : (s + 1) * n] = np.argsort(row, kind="stable")
+            counts = np.bincount(row, minlength=n_labels)
             starts[s, 0] = s * n
-            starts[s, 1:] = s * n + np.cumsum(np.bincount(self.smat[s], minlength=n_labels))
+            starts[s, 1:] = s * n + np.cumsum(counts)
+            if s == 0:
+                first, size0 = self.order[starts[0, label0]], counts[label0]
+            agrees &= (row == row[first]) & (counts[row] == size0)
         self.starts = starts.ravel()
         self.sample_ids = np.arange(n_samples)
         self.row_starts = self.sample_ids * (n_labels + 1)
+        split = np.zeros(n_labels, dtype=bool)
+        split[label0[~agrees]] = True
+        self.unanimous = ~split[label0]
 
         init = self.smat[int(self.rng.integers(self.n_samples))]
         self.assign = init.astype(np.int64) - 1
@@ -341,9 +363,10 @@ class _GreedyEngine:
     def _nid_values(self, rows, d_joint, d_size) -> np.ndarray:
         """NID between candidate states and samples given tracker deltas.
 
-        One entry per (sample row, joint-table delta, size-table delta);
-        each takes the operations of the dense samples-by-k formula in the
-        same order, so it keeps that formula's bits.
+        One entry per (sample row, joint-table delta, size-table delta),
+        broadcast together; each takes the operations of the dense
+        samples-by-k formula in the same order, so it keeps that formula's
+        bits.
         """
         n = self.n
         size_term = (self.sum_phi_sizes + d_size) / n
@@ -376,21 +399,20 @@ class _GreedyEngine:
         sizes = present.nonzero()[0]
         rank = np.cumsum(present) - 1  # grid column of each held size
         d = len(sizes)
-        grid_rows, grid_col = np.divmod(np.arange(self.n_samples * d), d)
-        rows = np.concatenate([grid_rows, sample])
-        cell_counts = np.concatenate([np.zeros_like(grid_rows), count])
-        cell_sizes = np.concatenate([sizes[grid_col], held_sizes[cluster]])
         own = self.dphi[count[cluster == a]]
-        values = self._nid_values(
-            rows,
-            self.dphi[cell_counts] - own[rows],
-            self.dphi[cell_sizes] - self.dphi[held_sizes[a]],
+        held_a = self.dphi[held_sizes[a]]
+        # samples down, sizes across: a grid cell's count is 0
+        grid_rows = self.sample_ids[:, None]
+        grid = self._nid_values(
+            grid_rows, self.dphi[0] - own[grid_rows], (self.dphi[sizes] - held_a)[None, :]
         )
-        grid = values[: len(grid_rows)].reshape(self.n_samples, d)
+        at_entries = self._nid_values(
+            sample, self.dphi[count] - own[sample], self.dphi[held_sizes[cluster]] - held_a
+        )
         # touched clusters first, then the grid; take keeps C order, in
         # which numpy sums each column in sample order
         nid = np.take(grid, np.concatenate([rank[held_sizes[touched]], np.arange(d)]), axis=1)
-        nid[sample, np.searchsorted(touched, cluster)] = values[len(grid_rows) :]
+        nid[sample, np.searchsorted(touched, cluster)] = at_entries
         mean = nid.mean(axis=0)
         if k == 1:
             mean[0] = nid[:, 0].mean()
@@ -398,8 +420,30 @@ class _GreedyEngine:
         score[touched] = mean[:width]
         return score, float(nid[:, width].mean())
 
+    def _settled(self, i: int, a: int) -> bool:
+        """Whether record i is unanimous and its cluster a is exactly its
+        sample cluster, so that no move of i strictly lowers any loss.
+
+        In every sample i's cluster is then a's member set M.  Binder and
+        VI: the stay score is -held_a (or -dphi[held_a]) ≤ 0, while every
+        other target scores its held size (or dphi of it) ≥ 0 and the new
+        cluster 0.  NID, per sample, with phi(m) = m log m: a move to a new
+        cluster lowers the joint and the cluster-size phi sums alike, so
+        the mutual information I is unchanged while H_C rises; a move to a
+        cluster D of held size d lowers I by dphi[d]/n, and if H_C falls
+        with it, I'/H_C' ≤ I/H_C because I ≤ H_C.  Either way
+        I/max(H_C, H_B) cannot rise, and the clip at 0 and 1 keeps that
+        order, so no sample's NID falls.  O(|M|)."""
+        if not self.unanimous[i]:
+            return False
+        label = self.smat[0, i]
+        mates = self.order[self.starts[label] : self.starts[label + 1]]
+        return self.sizes[a] == len(mates) and bool((self.assign[mates] == a).all())
+
     def _try_move(self, i: int) -> bool:
         a = int(self.assign[i])
+        if self._settled(i, a):
+            return False
         allow_new = self.n_clusters < self.max_clusters
         entries = self._match_entries(i)
         score, new_score = self._scores(i, entries)

@@ -268,32 +268,26 @@ class ChainState:
         self._insert_record(i, _NEW if choice == k else choice, rng)
 
     def restricted_reallocate(
-        self, i: int, anchors: tuple[int, int], rng: np.random.Generator
+        self, i: int, targets: np.ndarray, logliks: np.ndarray, rng: np.random.Generator
     ) -> None:
-        """Gibbs update of one record restricted to the anchors' clusters.
+        """Gibbs update of one record restricted to two anchors' clusters.
 
-        The record must currently sit in one of the two clusters, so the
-        update is an exact conditional draw over a support determined by
-        the rest of the state; keeping restricted records with an anchor
+        The record must currently sit in one of the two target clusters, so
+        the update is an exact conditional draw over a support determined
+        by the rest of the state; keeping restricted records with an anchor
         is what conserves the restricted set and makes the move leave the
-        posterior invariant.
+        posterior invariant.  Each target holds its anchor, so no removal
+        empties it or moves its slot; logliks holds the record's
+        record_loglik against the two targets' entities.
         """
         self._remove_record(i)
-        ca = int(self.assign[anchors[0]])
-        cb = int(self.assign[anchors[1]])
-        targets = [ca] if ca == cb else [ca, cb]
-        x = self.dataset.values[i]
         join, _ = self._prior_factors()
-        logw = np.empty(len(targets))
-        for t, k in enumerate(targets):
-            logw[t] = join[self.sizes[k]] + lik.record_loglik(
-                x, self.entities[k], self.distortion.psi, self.freqs
-            )
+        logw = join[self.sizes[targets]] + logliks
         if logw.max() == NEG_INF:
             # rejoining the record's own cluster always has positive density
             raise RuntimeError("restricted move found no admissible target")
         choice = _sample_from_logw(logw, rng, new_index=0)
-        self._insert_record(i, targets[choice], rng)
+        self._insert_record(i, int(targets[choice]), rng)
 
     def resample_entities(self, rng: np.random.Generator) -> None:
         self.entities[: self.n_clusters] = lik.resample_entities(
@@ -412,9 +406,21 @@ def chaperones_step(
     restricted = [u for u in state.members[ci] + state.members[cj] if u != i and u != j]
     if not restricted:
         return
+    # the anchors keep both clusters in their slots, and no entity or psi
+    # changes within the step, so each record's likelihood against the two
+    # entities holds for every inner sweep
+    targets = np.array([ci, cj])
+    psi, freqs = state.distortion.psi, state.freqs
+    logliks = [
+        np.array([
+            lik.record_loglik(state.dataset.values[u], state.entities[c], psi, freqs)
+            for c in targets
+        ])
+        for u in restricted
+    ]
     for _ in range(inner_sweeps):
-        for u in restricted:
-            state.restricted_reallocate(u, (i, j), rng)
+        for u, loglik in zip(restricted, logliks):
+            state.restricted_reallocate(u, targets, loglik, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -532,29 +538,55 @@ def write_trace_jsonl(trace: PosteriorTrace, path) -> None:
 # every row holds these; fnr and fdr come together or not at all
 _TRACE_KEYS = ("iter", "chain", "K", "r", "psi", "logJoint")
 _RATE_KEYS = ("fnr", "fdr")
+# what the values that readers compute with must be: (integers only, a
+# list of them, the description a DataError gives)
+_VALUE_KINDS = {
+    "K": (True, False, "an integer"),
+    "r": (True, True, "a list of integers"),
+    "psi": (False, True, "a list of numbers"),
+    "logJoint": (False, False, "a number"),
+    "fnr": (False, False, "a number"),
+    "fdr": (False, False, "a number"),
+}
+
+
+def _numeric(value, integral: bool) -> bool:
+    # JSON true and false load as bool, which Python counts as int
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (not integral and isinstance(value, float))
 
 
 def read_trace_jsonl(path) -> PosteriorTrace:
-    """Rows written by write_trace_jsonl.  A malformed row, a row whose keys
-    differ from the first row's, or an empty file raises DataError."""
+    """Rows written by write_trace_jsonl.  A malformed row, a value of the
+    wrong kind, a row whose keys differ from the first row's, or an empty
+    file raises DataError."""
     trace = PosteriorTrace()
     with open(path) as fh:
         for line_no, line in enumerate(fh, 1):
+            where = f"trace file '{path}' line {line_no}"
             try:
                 row = json.loads(line)
                 rates = _RATE_KEYS if any(key in row for key in _RATE_KEYS) else ()
-                # a missing key raises KeyError, a non-iterable r or psi TypeError
+                # a missing key raises KeyError, a row that is no object TypeError
                 for key in _TRACE_KEYS + rates:
                     row[key]
-                tuple(row["r"]), tuple(row["psi"])
             except KeyError as exc:
-                raise DataError(f"trace file '{path}' line {line_no}: no key {exc}") from exc
+                raise DataError(f"{where}: no key {exc}") from exc
             except (ValueError, TypeError) as exc:
-                raise DataError(f"trace file '{path}' line {line_no}: {exc}") from exc
+                raise DataError(f"{where}: {exc}") from exc
+            for key, (integral, listed, kind) in _VALUE_KINDS.items():
+                if key not in row:
+                    continue
+                value = row[key]
+                items = value if isinstance(value, list) else [value]
+                if isinstance(value, list) != listed or not all(
+                    _numeric(v, integral) for v in items
+                ):
+                    raise DataError(f"{where}: {key} is {json.dumps(value)}, not {kind}")
             if trace.rows and row.keys() != trace.rows[0].keys():
                 raise DataError(
-                    f"trace file '{path}' line {line_no}: keys {sorted(row)} "
-                    f"differ from line 1's {sorted(trace.rows[0])}"
+                    f"{where}: keys {sorted(row)} differ from line 1's {sorted(trace.rows[0])}"
                 )
             trace.rows.append(row)
     if not trace.rows:

@@ -332,8 +332,24 @@ class TestPipeline:
                           "logJoint": -1.0, "fnr": 0.5, "fdr": 0.0})],
              "trace.jsonl' line 2: keys"),
             (None, "trace.jsonl' holds no rows"),
+            ([json.dumps({"iter": 1, "chain": 0, "K": 2, "r": ["a", 1], "psi": [0.01],
+                          "logJoint": -1.0})],
+             'trace.jsonl\' line 2: r is ["a", 1], not a list of integers'),
+            ([json.dumps({"iter": 1, "chain": 0, "K": "x", "r": [1, 1], "psi": [0.01],
+                          "logJoint": -1.0})],
+             'trace.jsonl\' line 2: K is "x", not an integer'),
+            ([json.dumps({"iter": 1, "chain": 0, "K": 2, "r": [1, 1], "psi": 0.01,
+                          "logJoint": -1.0})],
+             "trace.jsonl' line 2: psi is 0.01, not a list of numbers"),
+            ([json.dumps({"iter": 1, "chain": 0, "K": 2, "r": [1, 1], "psi": [0.01],
+                          "logJoint": None})],
+             "trace.jsonl' line 2: logJoint is null, not a number"),
+            ([json.dumps({"iter": 1, "chain": 0, "K": 2, "r": [1, 1], "psi": [0.01],
+                          "logJoint": -1.0, "fnr": True, "fdr": 0.0})],
+             "trace.jsonl' line 2: fnr is true, not a number"),
         ],
-        ids=["not-json", "missing-key", "rates-on-some-rows", "empty"],
+        ids=["not-json", "missing-key", "rates-on-some-rows", "empty", "non-integer-r",
+             "non-integer-K", "psi-not-a-list", "null-logJoint", "boolean-fnr"],
     )
     def test_malformed_trace_is_data_error(self, tmp_path, capsys, command, rows, message):
         out = tmp_path / "out"
@@ -344,6 +360,18 @@ class TestPipeline:
         config_path = write_config(tmp_path, pipeline_config(tmp_path))
         assert main([command, "--config", config_path]) == EXIT_DATA
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["summarize", "evaluate"])
+    def test_rates_from_missing_snapshots_is_data_error(self, tmp_path, capsys, command):
+        # with a truth and no rates in the trace, the error rates come from
+        # the snapshot file, so its absence is a missing input
+        out = tmp_path / "out"
+        out.mkdir()
+        row = {"iter": 0, "chain": 0, "K": 2, "r": [1, 1], "psi": [0.01], "logJoint": -1.0}
+        (out / "trace.jsonl").write_text(json.dumps(row) + "\n")
+        config_path = write_config(tmp_path, pipeline_config(tmp_path))
+        assert main([command, "--config", config_path]) == EXIT_DATA
+        assert f"no linkage snapshots at '{out / 'xi_snapshots.csv'}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "row, message",

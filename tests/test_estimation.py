@@ -444,3 +444,58 @@ class TestSparseScores:
                             delta = engine.dphi[moved_to] - engine.dphi[counts[:, before[i]]]
                             assert np.array_equal(engine.joint_phi, joint_phi + delta)
         assert one_cluster_states > 0
+
+
+def mostly_unanimous_posteriors(rng):
+    """(samples, max_clusters) pairs in which most records keep one sample
+    cluster across the samples and a few move."""
+    for n, count, flips in ((12, 6, 1), (30, 10, 1), (30, 8, 3)):
+        base = random_partition(rng, n, n // 3)
+        samples = perturbed_samples(rng, base, count, flips)
+        yield samples, None
+        # no new clusters: a moving record may join a settled record's cluster
+        yield samples, max(s.n_clusters for s in samples)
+    yield [random_partition(rng, 10, 4)] * 5, None
+    # record 0 is a singleton in every sample; started from the one sample
+    # that links the others (seed 0 starts there), with no new clusters
+    # allowed, some of them join record 0
+    samples = [canonicalize(range(6))] * 8
+    samples[6] = canonicalize([1, 2, 2, 2, 2, 2])
+    yield samples, 2
+    # records 0 and 1 share a cluster of three in both samples, but not
+    # the same one: {0, 1, 2}, then {0, 1, 3}
+    yield [canonicalize([1, 1, 1, 2, 3, 3]), canonicalize([1, 1, 2, 1, 3, 3])], None
+
+
+class TestSettledRecords:
+    def test_unanimous_is_one_sample_cluster_in_every_sample(self):
+        rng = np.random.default_rng(23)
+        for samples, _ in mostly_unanimous_posteriors(rng):
+            engine = _GreedyEngine(samples, "vi", GreedyConfig())
+            sets = [
+                {frozenset(np.flatnonzero(row == row[i]).tolist()) for row in engine.smat}
+                for i in range(engine.n)
+            ]
+            assert engine.unanimous.tolist() == [len(s) == 1 for s in sets]
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_settled_record_has_no_improving_move(self, kind):
+        rng = np.random.default_rng(29)
+        settled = unsettled_unanimous = 0
+        for samples, cap in mostly_unanimous_posteriors(rng):
+            for seed in range(3):
+                engine = _GreedyEngine(samples, kind, GreedyConfig(seed=seed, max_clusters=cap))
+                for _ in range(3):
+                    for i in engine.rng.permutation(engine.n):
+                        i = int(i)
+                        a = int(engine.assign[i])
+                        if engine._settled(i, a):
+                            settled += 1
+                            score, new_score = engine._scores(i, engine._match_entries(i))
+                            stay = float(score[a])
+                            assert score.min() >= stay - 1e-12, (kind, i)
+                            assert new_score >= stay - 1e-12, (kind, i)
+                        else:
+                            unsettled_unanimous += bool(engine.unanimous[i])
+                        engine._try_move(i)
+        assert settled > 0 and unsettled_unanimous > 0
