@@ -159,15 +159,16 @@ _SEARCH_ORDER = ("nid", "vi", "binder")
 
 def _cmd_estimate(cfg: RunConfig, rundir: _RunDir) -> None:
     samples = _load_snapshots(cfg)
-    losses = sorted(set(cfg.estimation.losses), key=_SEARCH_ORDER.index)
+    losses = sorted(cfg.estimation.losses, key=_SEARCH_ORDER.index)
 
-    def search(task: int, checkpoint) -> LinkageStructure:
-        return estimation.greedy_epl(samples, losses[task], cfg.estimation.greedy(cfg.seed))
+    def search(task: int, checkpoint) -> tuple[LinkageStructure, float]:
+        loss = losses[task]
+        estimate = estimation.greedy_epl(samples, loss, cfg.estimation.greedy(cfg.seed))
+        return estimate, estimation.expected_posterior_loss(estimate, samples, loss)
 
-    estimates = dict(zip(losses, parallel.run_tasks(search, len(losses), "estimate")))
+    results = dict(zip(losses, parallel.run_tasks(search, len(losses), "estimate")))
     for loss in cfg.estimation.losses:
-        estimate = estimates[loss]
-        epl = estimation.expected_posterior_loss(estimate, samples, loss)
+        estimate, epl = results[loss]
         with open(rundir.path(f"estimate_{loss}.csv"), "w") as fh:
             fh.write(",".join(map(str, estimate.assignments)) + "\n")
         with open(rundir.path(f"estimate_{loss}.json"), "w") as fh:
@@ -178,13 +179,15 @@ def _cmd_estimate(cfg: RunConfig, rundir: _RunDir) -> None:
 
 def _read_estimate(cfg: RunConfig, loss: str, n: int) -> LinkageStructure | None:
     """The estimate of one loss, or None if it has no file; a malformed
-    row or one of other than n records raises DataError."""
+    row, one of other than n records or a second row raises DataError."""
     path = os.path.join(cfg.output_dir, f"estimate_{loss}.csv")
     if not os.path.exists(path):
         return None
     with open(path) as fh:
-        line = fh.readline()
+        line, rest = fh.readline(), fh.read()
     try:
+        if rest:
+            raise ValueError("more than one row")
         estimate = LinkageStructure(tuple(int(v) for v in line.strip().split(",")))
         if estimate.n != n:
             raise ValueError(f"{estimate.n} records, expected {n}")

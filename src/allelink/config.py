@@ -252,6 +252,10 @@ def _parse_estimation(block: dict) -> EstimationConfig:
     for loss in losses:
         if loss not in LOSS_KINDS:
             raise ConfigError(f"'estimation.losses' entry '{loss}' is not one of {LOSS_KINDS}")
+    if not losses:
+        raise ConfigError("'estimation.losses' must name at least one loss")
+    if len(set(losses)) < len(losses):
+        raise ConfigError(f"'estimation.losses' names a loss more than once: {list(losses)}")
     samples_used = _get(block, "samples_used", EstimationConfig.samples_used, _int, "estimation.")
     sweeps = _get(block, "sweeps", EstimationConfig.sweeps, _int, "estimation.")
     if samples_used < 1 or sweeps < 1:

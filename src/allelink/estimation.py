@@ -18,11 +18,10 @@ once.  All three losses depend on a candidate move only through the
 contingency counts between the candidate's clusters and the sample cluster
 of the moved record, and those counts feed table lookups of m log m
 differences instead of per-sample loss recomputation.  Per-sample member
-lists, built once from one stable argsort per sample, give the moved
-record's sample-cluster members in every sample, so the counts cost
-O(S·c) for S samples and sample clusters of c records and come out as
-sparse (sample, cluster, count) entries.  Binder and VI scores are
-bincounts over the entries and need nothing else.  NID alone keeps
+lists give the moved record's sample-cluster members in every sample, so
+the counts cost O(S·c) for S samples and sample clusters of c records and
+come out as sparse (sample, cluster, count) entries.  Binder and VI scores
+are bincounts over the entries and need nothing else.  NID alone keeps
 per-sample joint-entropy tables, updated by delta on every move; it is
 evaluated only on a samples-by-distinct-held-size grid, which covers every
 cluster without an entry and the new cluster, and at the entries; the
@@ -33,9 +32,16 @@ samples-by-clusters formulas bit for bit.  Moves compare candidate scores
 only, so the engine tracks no objective value; the caller evaluates the
 estimate's expected loss once with expected_posterior_loss.
 
+The engine builds its tables in blocks of samples, as _sample_losses
+takes its contingency tables: per block, one row-wise stable argsort
+gives the member lists, one bincount gives their offsets, and for NID one
+sort over (sample, cluster, label) keys gives the joint counts.  Each
+sample's phi sums are added as the rows of one array per run length,
+which keeps the bits of a per-sample sum.
+
 Most records of a posterior with many small clusters are unanimous: every
-sample puts them in the same member set.  One pass over the samples, in
-O(n) extra memory, finds them.  A unanimous record whose current cluster
+sample puts them in the same member set.  The same blocks find them, with
+one n-long mask.  A unanimous record whose current cluster
 is exactly that set is settled: no move of it strictly lowers any of the
 three losses (_GreedyEngine._settled has the proof), so the sweep skips
 it before counting its matches.  The skip changes no move, and the
@@ -132,9 +138,33 @@ def expected_posterior_loss(candidate: LinkageStructure, samples: Samples, kind:
     return sum(_sample_losses(candidate, labels, kind).tolist()) / len(labels)
 
 
-# label entries per block of samples in _sample_losses, which holds about
-# ten 8-byte arrays of this length at a time
+# label entries per block of samples in _sample_losses and in the greedy
+# engine's construction, which hold about ten 8-byte arrays of this length
+# at a time
 _BLOCK_ENTRIES = 1 << 16
+
+
+def _unique_counts(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(key, return_counts=True) for a non-empty 1-D array, with
+    less per-call overhead and memory: key is sorted in place."""
+    key.sort()
+    first = np.empty(len(key), dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    return key[first], np.bincount(first.cumsum() - 1)
+
+
+def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The sum of each run of consecutive values, of the given lengths, with
+    the bits of that run's own 1-D .sum(): the runs of one length are
+    summed as the rows of one C-contiguous array, and numpy adds each row
+    along the contiguous axis as it adds a 1-D array."""
+    first = np.cumsum(lengths) - lengths
+    sums = np.empty(len(lengths))
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
+        runs = np.flatnonzero(lengths == length)
+        sums[runs] = values[first[runs, None] + np.arange(length)].sum(axis=1)
+    return sums
 
 
 def _sample_losses(candidate: LinkageStructure, labels: np.ndarray, kind: str) -> np.ndarray:
@@ -236,33 +266,6 @@ class _GreedyEngine:
         self.rng = np.random.default_rng(config.seed)
         self.max_clusters = config.max_clusters or self.n
 
-        # member lists: the records labelled l in sample s are
-        # order[starts[j]:starts[j + 1]] with j = row_starts[s] + l
-        n, n_samples = self.n, self.n_samples
-        n_labels = int(self.smat.max()) + 1
-        self.order = np.empty(n_samples * n, dtype=np.int32)
-        starts = np.empty((n_samples, n_labels + 1), dtype=np.int32)
-        # a record whose sample cluster is the same set in every sample: it
-        # shares a label with the first member of its sample-0 cluster in a
-        # cluster of that cluster's size, and so does every other member
-        label0 = self.smat[0]
-        agrees = np.ones(n, dtype=bool)
-        for s in range(n_samples):
-            row = self.smat[s]
-            self.order[s * n : (s + 1) * n] = np.argsort(row, kind="stable")
-            counts = np.bincount(row, minlength=n_labels)
-            starts[s, 0] = s * n
-            starts[s, 1:] = s * n + np.cumsum(counts)
-            if s == 0:
-                first, size0 = self.order[starts[0, label0]], counts[label0]
-            agrees &= (row == row[first]) & (counts[row] == size0)
-        self.starts = starts.ravel()
-        self.sample_ids = np.arange(n_samples)
-        self.row_starts = self.sample_ids * (n_labels + 1)
-        split = np.zeros(n_labels, dtype=bool)
-        split[label0[~agrees]] = True
-        self.unanimous = ~split[label0]
-
         init = self.smat[int(self.rng.integers(self.n_samples))]
         self.assign = init.astype(np.int64) - 1
         self.n_clusters = int(init.max())
@@ -276,18 +279,53 @@ class _GreedyEngine:
         phi[0] = 0.0
         self.dphi = phi[1:] - phi[:-1]
 
+        # member lists: the records labelled l in sample s are
+        # order[starts[j]:starts[j + 1]] with j = row_starts[s] + l
+        n, n_samples = self.n, self.n_samples
+        n_labels = int(self.smat.max()) + 1
+        self.order = np.empty(n_samples * n, dtype=np.int32)
+        starts = np.empty((n_samples, n_labels + 1), dtype=np.int32)
+        # a record whose sample cluster is the same set in every sample: it
+        # shares a label with the first member of its sample-0 cluster in a
+        # cluster of that cluster's size, and so does every other member
+        label0 = self.smat[0]
+        agrees = np.ones(n, dtype=bool)
         if kind == "nid":
             self.sum_phi_sizes = float(phi[self.sizes[: self.n_clusters]].sum())
-            self.joint_phi = np.empty(self.n_samples)
-            self.sample_entropy = np.empty(self.n_samples)
-            self.sample_phi = np.empty(self.n_samples)
-            for s in range(self.n_samples):
-                # counts in ascending cell order, as bincount's nonzero entries
-                _, joint = np.unique(self.assign * n_labels + self.smat[s], return_counts=True)
-                self.joint_phi[s] = phi[joint].sum()
-                bsz = np.bincount(self.smat[s])
-                self.sample_phi[s] = phi[bsz[bsz > 0]].sum()
-                self.sample_entropy[s] = math.log(self.n) - self.sample_phi[s] / self.n
+            self.joint_phi = np.empty(n_samples)
+            self.sample_phi = np.empty(n_samples)
+            cells = self.n_clusters * n_labels  # joint cells per sample
+        step = max(1, _BLOCK_ENTRIES // n)
+        for s in range(0, n_samples, step):
+            block = self.smat[s : s + step]
+            nrows = len(block)
+            rows = np.arange(nrows)[:, None]
+            self.order[s * n : (s + nrows) * n] = np.argsort(block, axis=1, kind="stable").ravel()
+            counts = np.bincount((rows * n_labels + block).ravel(), minlength=nrows * n_labels)
+            counts = counts.reshape(nrows, n_labels)
+            starts[s : s + nrows, :1] = (s + rows) * n
+            starts[s : s + nrows, 1:] = (s + rows) * n + counts.cumsum(axis=1)
+            if s == 0:
+                first, size0 = self.order[starts[0, label0]], counts[0, label0]
+            agrees &= (
+                (block == block[:, first]) & (np.take_along_axis(counts, block, axis=1) == size0)
+            ).all(axis=0)
+            if kind == "nid":
+                # each sample's counts in ascending cell order, as its own
+                # np.unique over assign * n_labels + label gives them
+                key, joint = _unique_counts((rows * cells + self.assign * n_labels + block).ravel())
+                per_sample = np.bincount(key // cells, minlength=nrows)
+                self.joint_phi[s : s + nrows] = _segment_sums(phi[joint], per_sample)
+                held = counts > 0  # labels 1..K_s in label order
+                self.sample_phi[s : s + nrows] = _segment_sums(phi[counts[held]], held.sum(axis=1))
+        self.starts = starts.ravel()
+        self.sample_ids = np.arange(n_samples)
+        self.row_starts = self.sample_ids * (n_labels + 1)
+        split = np.zeros(n_labels, dtype=bool)
+        split[label0[~agrees]] = True
+        self.unanimous = ~split[label0]
+        if kind == "nid":
+            self.sample_entropy = math.log(n) - self.sample_phi / n
 
     def run(self) -> LinkageStructure:
         for _ in range(self.config.sweeps):
@@ -313,13 +351,8 @@ class _GreedyEngine:
         total = int(end[-1])
         pos = np.arange(total) + (lo - end + size).repeat(size)
         key = (self.sample_ids * k).repeat(size) + self.assign[self.order[pos]]
-        # np.unique(key, return_counts=True) with less per-call overhead
-        key.sort()
-        first = np.empty(total, dtype=bool)
-        first[0] = True
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        count = np.bincount(first.cumsum() - 1)
-        sample, cluster = np.divmod(key[first], k)
+        key, count = _unique_counts(key)
+        sample, cluster = np.divmod(key, k)
         count[cluster == self.assign[i]] -= 1
         return sample, cluster, count
 

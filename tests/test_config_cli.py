@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from allelink import mcmc
+from allelink import datagen, mcmc
 from allelink.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
 from allelink.config import ConfigError, parse_config
 
@@ -286,6 +286,9 @@ class TestPipeline:
              "'sampler.chains': True is not an integer"),
             ("estimation", {"samples_used": 0.5},
              "'estimation.samples_used': 0.5 is not an integer"),
+            ("estimation", {"losses": []}, "'estimation.losses' must name at least one loss"),
+            ("estimation", {"losses": ["vi", "vi"]},
+             "'estimation.losses' names a loss more than once"),
         ],
     )
     def test_malformed_value_is_config_error_naming_key(self, tmp_path, capsys, block, value, key):
@@ -379,14 +382,17 @@ class TestPipeline:
             ("1,x,2", "invalid literal for int()"),
             ("", "invalid literal for int()"),
             ("1,1,2", "3 records, expected"),
+            ("{valid}\ngarbage,line", "more than one row"),
         ],
-        ids=["non-integer", "empty", "other-record-count"],
+        ids=["non-integer", "empty", "other-record-count", "second-row"],
     )
     def test_malformed_estimate_is_data_error(self, tmp_path, capsys, row, message):
         out = tmp_path / "out"
         out.mkdir()
-        (out / "estimate_binder.csv").write_text(row + "\n" if row else "")
         config_path = write_config(tmp_path, pipeline_config(tmp_path))
+        n = datagen.simulate(parse_config(config_path, "evaluate").scenario)[1].n
+        row = row.format(valid=",".join(["1"] * n))
+        (out / "estimate_binder.csv").write_text(row + "\n" if row else "")
         assert main(["evaluate", "--config", config_path]) == EXIT_DATA
         err = capsys.readouterr().err
         assert "estimate_binder.csv'" in err and message in err
@@ -401,16 +407,24 @@ class TestPipeline:
         body = pipeline_config(tmp_path)
         body["estimation"]["losses"] = ["binder", "vi", "nid"]
         config_path = write_config(tmp_path, body)
-        calls = []
         loss = estimation.expected_posterior_loss
+        cpu_counts = [1, 2] if "fork" in multiprocessing.get_all_start_methods() else [1]
+        for cpus in cpu_counts:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            # a file, so that calls made in forked search workers count too
+            calls = tmp_path / f"calls-{cpus}"
 
-        def counting_loss(candidate, samples, kind):
-            calls.append(kind)
-            return loss(candidate, samples, kind)
+            def counting_loss(candidate, samples, kind):
+                with open(calls, "a") as fh:
+                    fh.write(f"{os.getpid()} {kind}\n")
+                return loss(candidate, samples, kind)
 
-        monkeypatch.setattr(estimation, "expected_posterior_loss", counting_loss)
-        assert main(["estimate", "--config", config_path]) == EXIT_OK
-        assert calls == ["binder", "vi", "nid"]
+            monkeypatch.setattr(estimation, "expected_posterior_loss", counting_loss)
+            assert main(["estimate", "--config", config_path]) == EXIT_OK
+            pids, kinds = zip(*(line.split() for line in calls.read_text().splitlines()))
+            assert sorted(kinds) == ["binder", "nid", "vi"], cpus
+            assert len(set(pids)) == cpus
 
     def test_rates_in_trace_leave_snapshots_unread(self, tmp_path):
         # the trace's own error rates are what evaluate and summarize

@@ -446,6 +446,87 @@ class TestSparseScores:
         assert one_cluster_states > 0
 
 
+def reference_tables(engine):
+    """The engine's member lists, unanimity mask and NID tables, built one
+    sample at a time from its samples and its initial assignment."""
+    smat, assign, n = engine.smat, engine.assign, engine.n
+    n_labels = int(smat.max()) + 1
+    order = np.empty(smat.size, dtype=np.int32)
+    starts = np.empty((len(smat), n_labels + 1), dtype=np.int32)
+    label0 = smat[0]
+    agrees = np.ones(n, dtype=bool)
+    phi = np.arange(n + 2.0) * np.log(np.maximum(np.arange(n + 2.0), 1.0))
+    joint_phi, sample_phi = np.empty(len(smat)), np.empty(len(smat))
+    for s, row in enumerate(smat):
+        order[s * n : (s + 1) * n] = np.argsort(row, kind="stable")
+        counts = np.bincount(row, minlength=n_labels)
+        starts[s, 0] = s * n
+        starts[s, 1:] = s * n + np.cumsum(counts)
+        if s == 0:
+            first, size0 = order[starts[0, label0]], counts[label0]
+        agrees &= (row == row[first]) & (counts[row] == size0)
+        _, joint = np.unique(assign * n_labels + row, return_counts=True)
+        joint_phi[s] = phi[joint].sum()
+        sizes = np.bincount(row)
+        sample_phi[s] = phi[sizes[sizes > 0]].sum()
+    split = np.zeros(n_labels, dtype=bool)
+    split[label0[~agrees]] = True
+    sample_entropy = np.array([math.log(n) - v / n for v in sample_phi.tolist()])
+    return {
+        "order": order,
+        "starts": starts.ravel(),
+        "unanimous": ~split[label0],
+        "joint_phi": joint_phi,
+        "sample_phi": sample_phi,
+        "sample_entropy": sample_entropy,
+    }
+
+
+def construction_posteriors(rng):
+    """Label matrices with S·n above the engine's block size, so that its
+    construction runs in several blocks: samples of widely varying cluster
+    counts, and a posterior-like set that most records agree on."""
+    n = 300
+    spreads = rng.integers(1, n + 1, size=500)
+    yield np.array([random_partition(rng, n, int(k)).assignments for k in spreads], dtype=np.int32)
+    base = random_partition(rng, n, n // 3)
+    yield np.array([s.assignments for s in perturbed_samples(rng, base, 400, flips=30)],
+                   dtype=np.int32)
+
+
+class TestBlockConstruction:
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_tables_equal_per_sample_reference_bitwise(self, kind):
+        rng = np.random.default_rng(31)
+        for smat in construction_posteriors(rng):
+            assert smat.size > estimation._BLOCK_ENTRIES
+            for seed in range(2):
+                engine = _GreedyEngine(smat, kind, GreedyConfig(seed=seed))
+                want = reference_tables(engine)
+                names = list(want) if kind == "nid" else ["order", "starts", "unanimous"]
+                for name in names:
+                    assert np.array_equal(getattr(engine, name), want[name]), (kind, name)
+
+    def test_one_sample_per_block_gives_the_same_tables(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        samples = [random_partition(rng, 40, int(k)) for k in rng.integers(1, 41, size=30)]
+        want = reference_tables(_GreedyEngine(samples, "nid", GreedyConfig()))
+        monkeypatch.setattr(estimation, "_BLOCK_ENTRIES", 1)
+        engine = _GreedyEngine(samples, "nid", GreedyConfig())
+        for name, table in want.items():
+            assert np.array_equal(getattr(engine, name), table), name
+
+    def test_segment_sums_equal_one_dimensional_sums(self):
+        # lengths 1..300 cross numpy's pairwise-summation blocks of 8 and 128
+        rng = np.random.default_rng(41)
+        lengths = rng.permutation(np.repeat(np.arange(1, 301), 3))
+        values = rng.standard_normal(lengths.sum()) * 10.0 ** rng.integers(-8, 9, lengths.sum())
+        got = estimation._segment_sums(values, lengths)
+        ends = np.cumsum(lengths)
+        want = [values[end - length : end].sum() for end, length in zip(ends, lengths)]
+        assert np.array_equal(got, np.array(want))
+
+
 def mostly_unanimous_posteriors(rng):
     """(samples, max_clusters) pairs in which most records keep one sample
     cluster across the samples and a few move."""
