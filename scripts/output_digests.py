@@ -1,13 +1,15 @@
 """Print a sha256 digest of every file the CLI pipeline writes.
 
 Runs simulate, run, estimate, evaluate and summarize through
-`allelink.cli.main` for three configs (the criterion-9 acceptance config
+`allelink.cli.main` for four configs (the criterion-9 acceptance config
 with the binder, vi and nid losses; the same under the EPP prior; the same
-with every sweep a full reallocation pass).  The commands of one config
-share one output directory, and after each command every file in it is
-hashed.  Two checkouts whose printed digests match wrote byte-identical
-outputs.  The manifests record the output directory, so compare runs made
-with the same OUT_DIR, which must be absent or empty:
+with every sweep a full reallocation pass; the same with every
+`likelihood`, `sampler` and `estimation` key set away from its default).
+The commands of one config share one output directory, and after each
+command every file in it is hashed.  Two checkouts whose printed digests
+match wrote byte-identical outputs.  The manifests record the output
+directory, so compare runs made with the same OUT_DIR, which must be
+absent or empty:
 
     python3 scripts/output_digests.py OUT_DIR > digests.txt
     rm -r OUT_DIR
@@ -45,7 +47,16 @@ def configs() -> dict[str, dict]:
     epp["prior"] = {"family": "epp", "theta": 20}
     full_pass = copy.deepcopy(BASE)
     full_pass["sampler"]["move_mix"] = 0
-    return {"bbap": BASE, "epp": epp, "move_mix0": full_pass}
+    every_key = copy.deepcopy(BASE)
+    every_key["likelihood"] = {"psi_prior_mean": 0.02, "psi_prior_sd": 0.015,
+                               "smoothing_eps": 0.05,
+                               "psi_fixed": [0.01, 0.03, 0.02, 0.02, 0.04]}
+    every_key["sampler"] = {"iterations": 320, "burn_in": 80, "thin": 2, "chains": 2,
+                            "move_mix": 0.6, "chaperone_floor": 0.3, "inner_sweeps": 3,
+                            "snapshot_stride": 3, "check_every": 80}
+    every_key["estimation"] = {"losses": ["nid", "binder"], "samples_used": 70,
+                               "sweeps": 25, "max_clusters": 24}
+    return {"bbap": BASE, "epp": epp, "move_mix0": full_pass, "every_key": every_key}
 
 
 def digests(directory: str) -> list[tuple[str, str]]:

@@ -16,7 +16,6 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import datagen, estimation, evaluation, mcmc, parallel, priors
@@ -70,6 +69,10 @@ class _RunDir:
 
 
 def _write_manifest(rundir: _RunDir, cfg: RunConfig) -> None:
+    # imported here, for its version alone: the program runs no scipy code,
+    # and every command would otherwise pay for the import before it starts
+    import scipy
+
     manifest = {
         "command": cfg.command,
         "config": cfg.resolved,
@@ -131,15 +134,19 @@ def _cmd_run(cfg: RunConfig, rundir: _RunDir) -> None:
     mcmc.write_snapshots_csv(trace, rundir.path("xi_snapshots.csv"))
 
 
-def _read_snapshots(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _read_snapshots(cfg: RunConfig,
+                    n: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The run's snapshot file as read_snapshots_csv gives it; a missing or
-    empty file raises DataError."""
+    empty file, or one whose rows hold other than n records, raises
+    DataError."""
     path = os.path.join(cfg.output_dir, "xi_snapshots.csv")
     if not os.path.exists(path):
         raise DataError(f"no linkage snapshots at '{path}'; run the sampler first")
     chains, iters, labels = mcmc.read_snapshots_csv(path)
     if not len(labels):
         raise DataError(f"snapshot file '{path}' holds no samples")
+    if n is not None and labels.shape[1] != n:
+        raise DataError(f"snapshot file '{path}': {labels.shape[1]} records, expected {n}")
     return chains, iters, labels
 
 
@@ -204,7 +211,7 @@ def _trace_summary(cfg: RunConfig, trace_path: str,
     raises DataError."""
     trace = mcmc.read_trace_jsonl(trace_path)
     if truth is not None and "fnr" not in trace.rows[0]:
-        chains, iters, labels = _read_snapshots(cfg)
+        chains, iters, labels = _read_snapshots(cfg, truth.n)
         trace.snapshots = [
             (chain, it, LinkageStructure(tuple(row)))
             for chain, it, row in zip(chains.tolist(), iters.tolist(), labels.tolist())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .datagen import DEFAULT_CARDINALITIES, ScenarioSpec, scenario_preset
 from .estimation import LOSS_KINDS, GreedyConfig
@@ -36,13 +36,15 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class PriorConfig:
     family: str = "bbap"
-    cap: int | None = None
     theta: float = 1.0
     calibration: CalibrationSpec | None = None
 
     def build(self, n: int):
         if self.family == "epp":
             return EppParams(theta=self.theta)
+        cap = self.calibration.cap
+        if n < cap:
+            raise ConfigError(f"'prior.cap' is {cap}, more than the {n} records")
         return calibrate_recursive(self.calibration, n)
 
 
@@ -52,6 +54,22 @@ class EstimationConfig:
     samples_used: int = 2000
     sweeps: int = 100
     max_clusters: int | None = None
+
+    def __post_init__(self):
+        losses = self.losses
+        if not isinstance(losses, tuple) or not all(isinstance(v, str) for v in losses):
+            raise ValueError("'estimation.losses' must be a list of loss names")
+        for loss in losses:
+            if loss not in LOSS_KINDS:
+                raise ValueError(f"'estimation.losses' entry '{loss}' is not one of {LOSS_KINDS}")
+        if not losses:
+            raise ValueError("'estimation.losses' must name at least one loss")
+        if len(set(losses)) < len(losses):
+            raise ValueError(f"'estimation.losses' names a loss more than once: {list(losses)}")
+        if self.samples_used < 1 or self.sweeps < 1:
+            raise ValueError("'estimation.samples_used' and 'estimation.sweeps' must be positive")
+        if self.max_clusters is not None and self.max_clusters < 1:
+            raise ValueError("'estimation.max_clusters' must be at least 1")
 
     def greedy(self, seed: int) -> GreedyConfig:
         return GreedyConfig(sweeps=self.sweeps, max_clusters=self.max_clusters, seed=seed)
@@ -92,6 +110,13 @@ def _int(value) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    seed = _int(value)
+    if seed < 0:
+        raise ValueError(f"{seed} is negative")
+    return seed
+
+
 def _get(block: dict, key: str, default, caster, where: str):
     if key not in block or block[key] is None:
         return default
@@ -104,7 +129,7 @@ def _get(block: dict, key: str, default, caster, where: str):
 def _parse_scenario(block: dict) -> ScenarioSpec:
     allowed = {"id", "clusters", "psi", "cardinalities", "sizes", "weights", "seed"}
     _reject_unknown(block, allowed, "scenario.")
-    seed = _get(block, "seed", 0, _int, "scenario.")
+    seed = _get(block, "seed", 0, _seed, "scenario.")
     clusters = _get(block, "clusters", 200, _int, "scenario.")
     cards = tuple(_get(block, "cardinalities", DEFAULT_CARDINALITIES, lambda v: [_int(x) for x in v], "scenario."))
     psi = _get(block, "psi", 0.05, _scalar_or_floats, "scenario.")
@@ -141,6 +166,41 @@ def _scalar_or_floats(value) -> float | tuple[float, ...]:
     if isinstance(value, (list, tuple)):
         return tuple(float(p) for p in value)
     return float(value)
+
+
+def _list_as_tuple(value):
+    """A JSON list as a tuple; any other value is passed on for the
+    dataclass to reject."""
+    return tuple(value) if isinstance(value, list) else value
+
+
+# the caster of each declared field type of a block read by _parse_block
+_CASTERS = {
+    "int": _int,
+    "int | None": _int,
+    "float": float,
+    "float | tuple[float, ...] | None": _scalar_or_floats,
+    "tuple[str, ...]": _list_as_tuple,
+}
+
+
+def _parse_block(block: dict, cls, where: str, defaults: dict | None = None, **given):
+    """The block as an instance of the dataclass cls.  Its keys are the
+    fields of cls less those in given, each read with the caster of its
+    declared type; a missing or null key takes defaults' value, else the
+    field's own default.  A ValueError from cls becomes a ConfigError
+    naming the block."""
+    keys = [f for f in fields(cls) if f.name not in given]
+    _reject_unknown(block, {f.name for f in keys}, where)
+    defaults = defaults or {}
+    values = {
+        f.name: _get(block, f.name, defaults.get(f.name, f.default), _CASTERS[f.type], where)
+        for f in keys
+    }
+    try:
+        return cls(**values, **given)
+    except ValueError as exc:
+        raise ConfigError(f"{where[:-1]}: {exc}") from exc
 
 
 def _parse_calibration(block: dict, cap: int, cv: float, base_dir: str) -> CalibrationSpec:
@@ -195,75 +255,7 @@ def _parse_prior(block: dict, base_dir: str) -> PriorConfig:
     if cv <= 0:
         raise ConfigError("'prior.cv' must be positive")
     calibration = _parse_calibration(block.get("calibration", {}), cap, cv, base_dir)
-    return PriorConfig(family="bbap", cap=cap, calibration=calibration)
-
-
-def _parse_likelihood(block: dict) -> LikelihoodConfig:
-    allowed = {"psi_prior_mean", "psi_prior_sd", "smoothing_eps", "psi_fixed"}
-    _reject_unknown(block, allowed, "likelihood.")
-    mean = _get(block, "psi_prior_mean", LikelihoodConfig.psi_prior_mean, float, "likelihood.")
-    sd = _get(block, "psi_prior_sd", LikelihoodConfig.psi_prior_sd, float, "likelihood.")
-    eps = _get(block, "smoothing_eps", LikelihoodConfig.smoothing_eps, float, "likelihood.")
-    psi_fixed = _get(
-        block, "psi_fixed", LikelihoodConfig.psi_fixed,
-        lambda v: tuple(float(p) for p in v) if isinstance(v, (list, tuple)) else float(v),
-        "likelihood.",
-    )
-    try:
-        return LikelihoodConfig(mean, sd, eps, psi_fixed)
-    except ValueError as exc:
-        raise ConfigError(f"likelihood: {exc}") from exc
-
-
-def _parse_sampler(block: dict, seed: int) -> SamplerConfig:
-    allowed = {
-        "iterations", "burn_in", "thin", "chains", "move_mix",
-        "chaperone_floor", "inner_sweeps", "snapshot_stride", "check_every",
-    }
-    _reject_unknown(block, allowed, "sampler.")
-    try:
-        return SamplerConfig(
-            iterations=_get(block, "iterations", 20_000, _int, "sampler."),
-            burn_in=_get(block, "burn_in", 10_000, _int, "sampler."),
-            thin=_get(block, "thin", SamplerConfig.thin, _int, "sampler."),
-            chains=_get(block, "chains", SamplerConfig.chains, _int, "sampler."),
-            seed=seed,
-            move_mix=_get(block, "move_mix", SamplerConfig.move_mix, float, "sampler."),
-            chaperone_floor=_get(
-                block, "chaperone_floor", SamplerConfig.chaperone_floor, float, "sampler."
-            ),
-            inner_sweeps=_get(block, "inner_sweeps", SamplerConfig.inner_sweeps, _int, "sampler."),
-            snapshot_stride=_get(
-                block, "snapshot_stride", SamplerConfig.snapshot_stride, _int, "sampler."
-            ),
-            check_every=_get(block, "check_every", SamplerConfig.check_every, _int, "sampler."),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"sampler: {exc}") from exc
-
-
-def _parse_estimation(block: dict) -> EstimationConfig:
-    allowed = {"losses", "samples_used", "sweeps", "max_clusters"}
-    _reject_unknown(block, allowed, "estimation.")
-    losses = block.get("losses", list(EstimationConfig.losses))
-    if not isinstance(losses, list) or not all(isinstance(v, str) for v in losses):
-        raise ConfigError("'estimation.losses' must be a list of loss names")
-    losses = tuple(losses)
-    for loss in losses:
-        if loss not in LOSS_KINDS:
-            raise ConfigError(f"'estimation.losses' entry '{loss}' is not one of {LOSS_KINDS}")
-    if not losses:
-        raise ConfigError("'estimation.losses' must name at least one loss")
-    if len(set(losses)) < len(losses):
-        raise ConfigError(f"'estimation.losses' names a loss more than once: {list(losses)}")
-    samples_used = _get(block, "samples_used", EstimationConfig.samples_used, _int, "estimation.")
-    sweeps = _get(block, "sweeps", EstimationConfig.sweeps, _int, "estimation.")
-    if samples_used < 1 or sweeps < 1:
-        raise ConfigError("'estimation.samples_used' and 'estimation.sweeps' must be positive")
-    max_clusters = _get(block, "max_clusters", EstimationConfig.max_clusters, _int, "estimation.")
-    if max_clusters is not None and max_clusters < 1:
-        raise ConfigError("'estimation.max_clusters' must be at least 1")
-    return EstimationConfig(losses, samples_used, sweeps, max_clusters)
+    return PriorConfig(family="bbap", calibration=calibration)
 
 
 def parse_config(
@@ -311,7 +303,7 @@ def parse_config(
     command = command or raw.get("command")
     if command not in COMMANDS:
         raise ConfigError(f"'command' must be one of {COMMANDS}; got {command!r}")
-    seed = _get(raw, "seed", 0, _int, "")
+    seed = _get(raw, "seed", 0, _seed, "")
     draws = _get(raw, "draws", 1000, _int, "")
     if draws < 1:
         raise ConfigError("'draws' must be positive")
@@ -327,9 +319,10 @@ def parse_config(
     if dataset is None and scenario is None and command != "estimate":
         raise ConfigError("give a 'dataset' path or a 'scenario' block")
     prior = _parse_prior(raw.get("prior", {"family": "bbap", "cap": 15}), base_dir)
-    like = _parse_likelihood(raw.get("likelihood", {}))
-    sampler = _parse_sampler(raw.get("sampler", {}), seed)
-    estimation = _parse_estimation(raw.get("estimation", {}))
+    like = _parse_block(raw.get("likelihood", {}), LikelihoodConfig, "likelihood.")
+    sampler = _parse_block(raw.get("sampler", {}), SamplerConfig, "sampler.",
+                           {"iterations": 20_000, "burn_in": 10_000}, seed=seed)
+    estimation = _parse_block(raw.get("estimation", {}), EstimationConfig, "estimation.")
     cfg = RunConfig(
         command=command,
         output_dir=output_dir,
@@ -365,7 +358,7 @@ def resolved_dict(cfg: RunConfig) -> dict:
         out["prior"]["theta"] = cfg.prior.theta
     else:
         cal = cfg.prior.calibration
-        out["prior"]["cap"] = cfg.prior.cap
+        out["prior"]["cap"] = cal.cap
         out["prior"]["cv"] = cal.cv
         out["prior"]["calibration"] = {
             "family": cal.family,

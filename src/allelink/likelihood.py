@@ -46,6 +46,8 @@ class LikelihoodConfig:
     def __post_init__(self):
         if self.psi_fixed is None:
             beta_from_mean_sd(self.psi_prior_mean, self.psi_prior_sd)
+        elif not all(0 <= p <= 1 for p in np.atleast_1d(self.psi_fixed)):
+            raise ValueError("psi_fixed entries must lie in [0, 1]")
         if self.smoothing_eps < 0:
             raise ValueError("smoothing_eps must be non-negative")
 
@@ -61,8 +63,6 @@ class LikelihoodConfig:
             psi = np.full(n_fields, float(psi))
         if psi.shape != (n_fields,):
             raise ValueError("psi_fixed must be a scalar or one value per field")
-        if np.any(psi < 0) or np.any(psi > 1):
-            raise ValueError("psi_fixed entries must lie in [0, 1]")
         return psi
 
 

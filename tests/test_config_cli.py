@@ -1,12 +1,14 @@
 import json
 import multiprocessing
 import os
+from dataclasses import fields
 
 import pytest
 
-from allelink import datagen, mcmc
-from allelink.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
-from allelink.config import ConfigError, parse_config
+from allelink import config, datagen, mcmc
+from allelink.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, _config_hash, main
+from allelink.config import COMMANDS, ConfigError, EstimationConfig, parse_config
+from allelink.likelihood import LikelihoodConfig
 
 
 def write_config(tmp_path, body, name="config.json"):
@@ -169,6 +171,27 @@ class TestParseConfig:
         assert cfg.prior.calibration.family == "explicit"
         assert cfg.prior.calibration.pi == (0.2, 0.1)
 
+    @pytest.mark.parametrize(
+        "block, cls, from_top_level",
+        [
+            ("likelihood", LikelihoodConfig, set()),
+            ("sampler", mcmc.SamplerConfig, {"seed"}),
+            ("estimation", EstimationConfig, set()),
+        ],
+    )
+    def test_block_keys_are_the_dataclass_fields(self, tmp_path, block, cls, from_top_level):
+        names = {f.name for f in fields(cls)} - from_top_level
+        assert all(f.type in config._CASTERS for f in fields(cls))
+        # every field is a key (null takes the default), and the manifest
+        # writes exactly those keys
+        body = {block: dict.fromkeys(names), "output_dir": "o", "dataset": "d"}
+        cfg = parse_config(write_config(tmp_path, body), command="run")
+        assert set(cfg.resolved[block]) == names
+        for key in from_top_level | {"unknown"}:
+            body[block] = {key: 1}
+            with pytest.raises(ConfigError, match=f"unknown config key '{block}.{key}'"):
+                parse_config(write_config(tmp_path, body), command="run")
+
 
 class TestPipeline:
     def test_full_pipeline_emits_artifacts(self, tmp_path):
@@ -204,6 +227,28 @@ class TestPipeline:
         assert main(["run", "--config", manifest_path, "--output-dir", str(rerun_dir)]) == EXIT_OK
         assert (rerun_dir / "trace.jsonl").read_bytes() == trace_first
         assert (rerun_dir / "xi_snapshots.csv").read_bytes() == (out / "xi_snapshots.csv").read_bytes()
+
+    def test_manifest_of_every_command_parses_to_its_config(self, tmp_path):
+        # every likelihood, sampler and estimation key set away from its default
+        body = pipeline_config(
+            tmp_path,
+            likelihood={"psi_prior_mean": 0.02, "psi_prior_sd": 0.015, "smoothing_eps": 0.05,
+                        "psi_fixed": [0.01, 0.02, 0.03, 0.02, 0.01]},
+            sampler={"iterations": 60, "burn_in": 20, "thin": 2, "chains": 1, "move_mix": 0.5,
+                     "chaperone_floor": 0.2, "inner_sweeps": 3, "snapshot_stride": 3,
+                     "check_every": 30},
+            estimation={"losses": ["vi", "binder"], "samples_used": 20, "sweeps": 10,
+                        "max_clusters": 80},
+        )
+        config_path = write_config(tmp_path, body)
+        for command in COMMANDS:
+            assert main([command, "--config", config_path]) == EXIT_OK, command
+            manifest_path = tmp_path / "out" / "manifest.json"
+            manifest = json.loads(manifest_path.read_text())
+            cfg = parse_config(str(manifest_path))
+            assert cfg.command == command
+            assert json.loads(json.dumps(cfg.resolved)) == manifest["config"]
+            assert _config_hash(cfg.resolved) == manifest["config_hash"]
 
     def test_run_then_estimate_deterministic(self, tmp_path):
         config_path = write_config(tmp_path, pipeline_config(tmp_path))
@@ -289,6 +334,12 @@ class TestPipeline:
             ("estimation", {"losses": []}, "'estimation.losses' must name at least one loss"),
             ("estimation", {"losses": ["vi", "vi"]},
              "'estimation.losses' names a loss more than once"),
+            ("seed", -1, "'seed': -1 is negative"),
+            ("scenario", {"id": 2, "clusters": 30, "psi": 0.02, "seed": -3},
+             "'scenario.seed': -3 is negative"),
+            ("likelihood", {"psi_fixed": 1.5}, "likelihood: psi_fixed entries must lie in [0, 1]"),
+            ("likelihood", {"psi_fixed": [0.1, 0.1, -0.5, 0.1, 0.1]},
+             "likelihood: psi_fixed entries must lie in [0, 1]"),
         ],
     )
     def test_malformed_value_is_config_error_naming_key(self, tmp_path, capsys, block, value, key):
@@ -297,6 +348,33 @@ class TestPipeline:
         config_path = write_config(tmp_path, body)
         assert main(["run", "--config", config_path]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, key, value, message",
+        [
+            ("estimate", "seed", -2, "'seed': -2 is negative"),
+            ("sample-prior", "likelihood", {"psi_fixed": -0.5},
+             "likelihood: psi_fixed entries must lie in [0, 1]"),
+        ],
+    )
+    def test_value_checks_hold_for_every_command(self, tmp_path, capsys, command, key, value,
+                                                 message):
+        config_path = write_config(tmp_path, pipeline_config(tmp_path, **{key: value}))
+        assert main([command, "--config", config_path]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["run", "calibrate", "sample-prior"])
+    def test_default_cap_above_record_count_is_config_error(self, tmp_path, capsys, command):
+        # with no prior block the cap is 15; this scenario has fewer records
+        body = pipeline_config(tmp_path, scenario={"clusters": 5, "sizes": [1, 2],
+                                                   "weights": [0.4, 0.6], "seed": 1})
+        del body["prior"]
+        config_path = write_config(tmp_path, body)
+        n = datagen.simulate(parse_config(config_path, command).scenario)[1].n
+        assert n < 15
+        assert main([command, "--config", config_path]) == EXIT_CONFIG
+        assert f"'prior.cap' is 15, more than the {n} records" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "row, message",
@@ -375,6 +453,19 @@ class TestPipeline:
         config_path = write_config(tmp_path, pipeline_config(tmp_path))
         assert main([command, "--config", config_path]) == EXIT_DATA
         assert f"no linkage snapshots at '{out / 'xi_snapshots.csv'}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["summarize", "evaluate"])
+    def test_snapshots_of_other_record_count_are_data_error(self, tmp_path, capsys, command):
+        # the trace has no rates, so the truth is scored against the snapshots
+        out = tmp_path / "out"
+        out.mkdir()
+        row = {"iter": 0, "chain": 0, "K": 2, "r": [1, 1], "psi": [0.01], "logJoint": -1.0}
+        (out / "trace.jsonl").write_text(json.dumps(row) + "\n")
+        (out / "xi_snapshots.csv").write_text("0,0,1,1,2\n")
+        config_path = write_config(tmp_path, pipeline_config(tmp_path))
+        n = datagen.simulate(parse_config(config_path, command).scenario)[1].n
+        assert main([command, "--config", config_path]) == EXIT_DATA
+        assert f"xi_snapshots.csv': 3 records, expected {n}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "row, message",
