@@ -9,6 +9,7 @@ hashable for the run manifest.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 
@@ -110,6 +111,19 @@ def _int(value) -> int:
     return int(value)
 
 
+def _float(value) -> float:
+    """A finite number: NaN and +-Infinity, which Python's json reads, are
+    rejected."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
+def _floats(value) -> tuple[float, ...]:
+    return tuple(_float(v) for v in value)
+
+
 def _seed(value) -> int:
     seed = _int(value)
     if seed < 0:
@@ -143,7 +157,7 @@ def _parse_scenario(block: dict) -> ScenarioSpec:
             raise ConfigError("scenario: give either 'id' or explicit 'sizes'/'weights', not both")
         return spec
     sizes = _get(block, "sizes", None, lambda v: tuple(_int(s) for s in v), "scenario.")
-    weights = _get(block, "weights", None, lambda v: tuple(float(w) for w in v), "scenario.")
+    weights = _get(block, "weights", None, _floats, "scenario.")
     if sizes is None or weights is None:
         raise ConfigError("scenario needs an 'id' or explicit 'sizes' and 'weights'")
     if isinstance(psi, float):
@@ -164,8 +178,8 @@ def _parse_scenario(block: dict) -> ScenarioSpec:
 
 def _scalar_or_floats(value) -> float | tuple[float, ...]:
     if isinstance(value, (list, tuple)):
-        return tuple(float(p) for p in value)
-    return float(value)
+        return _floats(value)
+    return _float(value)
 
 
 def _list_as_tuple(value):
@@ -178,7 +192,7 @@ def _list_as_tuple(value):
 _CASTERS = {
     "int": _int,
     "int | None": _int,
-    "float": float,
+    "float": _float,
     "float | tuple[float, ...] | None": _scalar_or_floats,
     "tuple[str, ...]": _list_as_tuple,
 }
@@ -207,7 +221,8 @@ def _parse_calibration(block: dict, cap: int, cv: float, base_dir: str) -> Calib
     allowed = {"family", "p", "r", "pi", "path"}
     _reject_unknown(block, allowed, "prior.calibration.")
     family = block.get("family", "geometric")
-    pi = block.get("pi")
+    where = "prior.calibration."
+    pi = _get(block, "pi", None, _floats, where)
     if family == "informed":
         path = block.get("path")
         if not path or not isinstance(path, str):
@@ -216,12 +231,15 @@ def _parse_calibration(block: dict, cap: int, cv: float, base_dir: str) -> Calib
         try:
             with open(full) as fh:
                 pi = json.load(fh)["pi"]
-        except (OSError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot load informed calibration from '{full}': {exc}") from exc
+        try:
+            pi = _floats(pi)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for 'pi' in '{full}': {exc}") from exc
         family = "explicit"
-    where = "prior.calibration."
-    p = _get(block, "p", 0.5 if family in ("geometric", "negbin") else None, float, where)
-    r = _get(block, "r", None, float, where)
+    p = _get(block, "p", 0.5 if family in ("geometric", "negbin") else None, _float, where)
+    r = _get(block, "r", None, _float, where)
     try:
         return CalibrationSpec(
             family=family,
@@ -229,7 +247,7 @@ def _parse_calibration(block: dict, cap: int, cv: float, base_dir: str) -> Calib
             cv=cv,
             p=p,
             r=r,
-            pi=tuple(pi) if pi is not None else None,
+            pi=pi,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"prior.calibration: {exc}") from exc
@@ -242,7 +260,7 @@ def _parse_prior(block: dict, base_dir: str) -> PriorConfig:
     if family not in ("bbap", "epp"):
         raise ConfigError(f"'prior.family' must be 'bbap' or 'epp'; got '{family}'")
     if family == "epp":
-        theta = _get(block, "theta", PriorConfig.theta, float, "prior.")
+        theta = _get(block, "theta", PriorConfig.theta, _float, "prior.")
         if theta <= 0:
             raise ConfigError("'prior.theta' must be positive")
         return PriorConfig(family="epp", theta=theta)
@@ -251,7 +269,7 @@ def _parse_prior(block: dict, base_dir: str) -> PriorConfig:
         raise ConfigError("'prior.cap' is required for the bbap family")
     if cap < 2:
         raise ConfigError("'prior.cap' must be at least 2")
-    cv = _get(block, "cv", 0.25, float, "prior.")
+    cv = _get(block, "cv", 0.25, _float, "prior.")
     if cv <= 0:
         raise ConfigError("'prior.cv' must be positive")
     calibration = _parse_calibration(block.get("calibration", {}), cap, cv, base_dir)

@@ -10,7 +10,7 @@ The posterior samples are one (S, n) int32 matrix of canonical assignment
 rows, as `allelink estimate` reads them from its snapshot file; a
 sequence of LinkageStructure is stacked into that matrix.  The expected
 loss of a candidate takes every sample's contingency table with it from
-one np.unique and gives one loss per sample; pairwise_loss is the
+one sort of keys and gives one loss per sample; pairwise_loss is the
 per-pair definition those values match.
 
 The sweep engine evaluates every candidate move against every sample at
@@ -171,12 +171,13 @@ def _sample_losses(candidate: LinkageStructure, labels: np.ndarray, kind: str) -
     """pairwise_loss(candidate, row, kind) for every row of a label matrix.
 
     Each block of samples gets its contingency tables against the
-    candidate from one np.unique over (sample cluster, candidate cluster)
-    keys, with the sample clusters numbered across the block's samples.
-    Each cell and marginal term is pairwise_loss's own; Binder's integer
-    pair counts are exact, so its values keep their bits, while VI and NID
-    add a sample's terms in cell order instead of first-appearance order
-    and can differ in the last digits.  No value depends on the blocking.
+    candidate from one _unique_counts over (sample cluster, candidate
+    cluster) keys, with the sample clusters numbered across the block's
+    samples.  Each cell and marginal term is pairwise_loss's own; Binder's
+    integer pair counts are exact, so its values keep their bits, while VI
+    and NID add a sample's terms in cell order instead of first-appearance
+    order and can differ in the last digits.  No value depends on the
+    blocking.
     """
     n_samples, n = labels.shape
     if n < 2:
@@ -199,7 +200,7 @@ def _block_losses(cand, size_a, labels, kind) -> np.ndarray:
     owner = np.repeat(np.arange(n_samples), k_s)  # sample of each sample cluster
     cluster = (labels - 1 + first[:, None]).ravel()
     size_b = np.bincount(cluster, minlength=int(k_s.sum()))
-    cells, joint = np.unique(cluster * k + np.tile(cand, n_samples), return_counts=True)
+    cells, joint = _unique_counts(cluster * k + np.tile(cand, n_samples))
     b, a = np.divmod(cells, k)
     cell_owner = owner[b]
     if kind == "binder":

@@ -24,7 +24,7 @@ def beta_from_mean_sd(mean: float, sd: float) -> tuple[float, float]:
     if not 0 < mean < 1:
         raise ValueError("mean must lie in (0, 1)")
     var = sd * sd
-    if var <= 0 or var >= mean * (1.0 - mean):
+    if not 0 < var < mean * (1.0 - mean):
         raise ValueError("sd must satisfy 0 < sd^2 < mean (1 - mean)")
     nu = mean * (1.0 - mean) / var - 1.0
     return mean * nu, (1.0 - mean) * nu
@@ -48,7 +48,7 @@ class LikelihoodConfig:
             beta_from_mean_sd(self.psi_prior_mean, self.psi_prior_sd)
         elif not all(0 <= p <= 1 for p in np.atleast_1d(self.psi_fixed)):
             raise ValueError("psi_fixed entries must lie in [0, 1]")
-        if self.smoothing_eps < 0:
+        if not self.smoothing_eps >= 0:
             raise ValueError("smoothing_eps must be non-negative")
 
     def prior_shapes(self, n_fields: int) -> tuple[np.ndarray, np.ndarray]:

@@ -61,7 +61,7 @@ class SamplerConfig:
             raise ValueError("chains must be at least 1")
         if not 0.0 <= self.move_mix <= 1.0:
             raise ValueError("move_mix must lie in [0, 1]")
-        if self.chaperone_floor < 0:
+        if not self.chaperone_floor >= 0:
             raise ValueError("chaperone_floor must be non-negative")
         if self.inner_sweeps < 1:
             raise ValueError("inner_sweeps must be at least 1")
@@ -90,32 +90,35 @@ class PairSampler:
 
     weight(i, j) = floor + number of agreeing fields, so similar records
     are proposed often while every pair keeps positive probability
-    whenever the floor is positive.
+    whenever the floor is positive.  Only the running total of the pair
+    weights at the end of each row i, over the pairs (i, j > i) in row
+    order, is kept: a draw recomputes the one row it lands in.
     """
 
     def __init__(self, dataset: Dataset, floor: float = 0.1):
         n = dataset.n
         if n < 2:
             raise ValueError("need at least two records to pick pairs")
-        agree = np.zeros((n, n), dtype=np.int64)
-        for f in range(dataset.n_fields):
-            col = dataset.values[:, f]
-            agree += col[:, None] == col[None, :]
-        self.rows, self.cols = np.triu_indices(n, k=1)
-        weights = floor + agree[self.rows, self.cols]
-        self._cum = np.cumsum(weights)
-        self.total = float(self._cum[-1])
+        self._values, self._floor = dataset.values, floor
+        self._ends = np.empty(n - 1)
+        for i in range(n - 1):
+            self._ends[i] = self._row_cum(i)[-1]
+        self.total = float(self._ends[-1])
+
+    def _row_cum(self, i: int) -> np.ndarray:
+        """Row i's running totals, led by row i - 1's end so that each one
+        rounds as in a single cumsum over all pairs in row order."""
+        start = self._ends[i - 1] if i else 0.0
+        agree = (self._values[i + 1:] == self._values[i]).sum(axis=1)
+        return np.cumsum(np.concatenate(([start], self._floor + agree)))[1:]
 
     def weight(self, i: int, j: int) -> float:
-        idx = np.flatnonzero((self.rows == min(i, j)) & (self.cols == max(i, j)))[0]
-        prev = self._cum[idx - 1] if idx > 0 else 0.0
-        return float(self._cum[idx] - prev)
+        return self._floor + int((self._values[i] == self._values[j]).sum())
 
     def sample(self, rng: np.random.Generator) -> tuple[int, int]:
         u = rng.random() * self.total
-        idx = int(np.searchsorted(self._cum, u, side="right"))
-        idx = min(idx, len(self.rows) - 1)
-        return int(self.rows[idx]), int(self.cols[idx])
+        i = _first_above(self._ends, u)
+        return i, i + 1 + _first_above(self._row_cum(i), u)
 
 
 class ChainState:
@@ -365,10 +368,13 @@ def _sample_from_logw(logw: np.ndarray, rng: np.random.Generator, new_index: int
     top = logw.max()
     if top == NEG_INF:
         return new_index
-    w = np.exp(logw - top)
-    cum = np.cumsum(w)
-    u = rng.random() * cum[-1]
-    return min(int(np.searchsorted(cum, u, side="right")), len(logw) - 1)
+    cum = np.cumsum(np.exp(logw - top))
+    return _first_above(cum, rng.random() * cum[-1])
+
+
+def _first_above(cum: np.ndarray, u: float) -> int:
+    """Index of the first running total above u, clamped to the last."""
+    return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +452,8 @@ def run_chain(
     like_config = like_config or LikelihoodConfig()
     if truth is not None and truth.n != dataset.n:
         raise ValueError("truth length does not match the dataset")
-    # the O(n^2) pair sampler is built only if a chaperone step can be drawn;
-    # the move draw below consumes one uniform per sweep either way
+    # the pair sampler's O(n^2 F) build runs only if a chaperone step can be
+    # drawn; the move draw below consumes one uniform per sweep either way
     pair_sampler = (
         PairSampler(dataset, config.chaperone_floor)
         if dataset.n >= 2 and config.move_mix > 0

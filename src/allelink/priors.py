@@ -103,7 +103,7 @@ class CalibrationSpec:
             if self.p is None or not 0 < self.p < 1:
                 raise ValueError("geometric calibration needs p in (0, 1)")
         elif self.family == "negbin":
-            if self.r is None or self.r <= 0:
+            if self.r is None or not self.r > 0:
                 raise ValueError("negbin calibration needs r > 0")
             if self.p is None or not 0 < self.p < 1:
                 raise ValueError("negbin calibration needs p in (0, 1)")
@@ -111,7 +111,7 @@ class CalibrationSpec:
             if self.pi is None or len(self.pi) != self.cap - 1:
                 raise ValueError("explicit calibration needs pi for sizes 2..cap")
             object.__setattr__(self, "pi", tuple(float(v) for v in self.pi))
-            if any(v < 0 for v in self.pi):
+            if not all(v >= 0 for v in self.pi):
                 raise ValueError("explicit pi entries must be non-negative")
             if sum(self.pi) >= 1:
                 raise ValueError("explicit pi must leave positive mass on singletons")
@@ -287,15 +287,15 @@ def _sample_epp(theta: float, n: int, rng: np.random.Generator) -> LinkageStruct
 
 
 def sample_count_matrix(
-    params: PriorParams, n: int, draws: int, rng: np.random.Generator, cap: int | None = None
+    params: PriorParams, n: int, draws: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Size-count vectors from repeated prior draws, one row per draw.
+    """Size-count vectors from repeated prior draws, one row per draw, as
+    wide as the largest possible size (the bbap cap, else n).
 
     Monte-Carlo stand-in for the per-size count moments, whose closed forms
     nest too deeply to be practical beyond the largest size.
     """
-    if cap is None:
-        cap = params.cap if isinstance(params, BbapParams) else n
+    cap = params.cap if isinstance(params, BbapParams) else n
     out = np.zeros((draws, cap), dtype=np.int64)
     for d in range(draws):
         xi = sample_prior(params, n, rng)

@@ -10,6 +10,8 @@ from allelink.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, _config_
 from allelink.config import COMMANDS, ConfigError, EstimationConfig, parse_config
 from allelink.likelihood import LikelihoodConfig
 
+NAN, INF = float("nan"), float("inf")
+
 
 def write_config(tmp_path, body, name="config.json"):
     path = tmp_path / name
@@ -340,6 +342,34 @@ class TestPipeline:
             ("likelihood", {"psi_fixed": 1.5}, "likelihood: psi_fixed entries must lie in [0, 1]"),
             ("likelihood", {"psi_fixed": [0.1, 0.1, -0.5, 0.1, 0.1]},
              "likelihood: psi_fixed entries must lie in [0, 1]"),
+            # json reads NaN and Infinity; no float key takes them
+            ("sampler", {"iterations": 260, "burn_in": 60, "chaperone_floor": NAN},
+             "'sampler.chaperone_floor': nan is not a finite number"),
+            ("sampler", {"iterations": 260, "burn_in": 60, "chaperone_floor": INF},
+             "'sampler.chaperone_floor': inf is not a finite number"),
+            ("likelihood", {"smoothing_eps": NAN},
+             "'likelihood.smoothing_eps': nan is not a finite number"),
+            ("likelihood", {"smoothing_eps": INF},
+             "'likelihood.smoothing_eps': inf is not a finite number"),
+            ("likelihood", {"psi_prior_sd": NAN},
+             "'likelihood.psi_prior_sd': nan is not a finite number"),
+            ("likelihood", {"psi_prior_mean": -INF},
+             "'likelihood.psi_prior_mean': -inf is not a finite number"),
+            ("likelihood", {"psi_fixed": [0.1, NAN, 0.1, 0.1, 0.1]},
+             "'likelihood.psi_fixed': nan is not a finite number"),
+            ("prior", {"family": "epp", "theta": NAN}, "'prior.theta': nan is not a finite number"),
+            ("prior", {"family": "epp", "theta": INF}, "'prior.theta': inf is not a finite number"),
+            ("prior", {"family": "bbap", "cap": 6, "cv": INF},
+             "'prior.cv': inf is not a finite number"),
+            ("prior", {"family": "bbap", "cap": 6, "calibration": {"p": NAN}},
+             "'prior.calibration.p': nan is not a finite number"),
+            ("prior", {"family": "bbap", "cap": 3,
+                       "calibration": {"family": "explicit", "pi": [0.2, NAN]}},
+             "'prior.calibration.pi': nan is not a finite number"),
+            ("scenario", {"sizes": [1, 2], "weights": [0.5, NAN]},
+             "'scenario.weights': nan is not a finite number"),
+            ("scenario", {"id": 2, "clusters": 30, "psi": INF, "seed": 5},
+             "'scenario.psi': inf is not a finite number"),
         ],
     )
     def test_malformed_value_is_config_error_naming_key(self, tmp_path, capsys, block, value, key):
@@ -348,6 +378,24 @@ class TestPipeline:
         config_path = write_config(tmp_path, body)
         assert main(["run", "--config", config_path]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"pi": [0.2, NAN]}, "nan is not a finite number"),
+            ([0.2, 0.1], "cannot load informed calibration from '"),
+        ],
+        ids=["nan-entry", "not-an-object"],
+    )
+    def test_malformed_informed_file_is_config_error(self, tmp_path, capsys, document, message):
+        (tmp_path / "pi.json").write_text(json.dumps(document))
+        calibration = {"family": "informed", "path": "pi.json"}
+        body = pipeline_config(tmp_path, prior={"family": "bbap", "cap": 3,
+                                                "calibration": calibration})
+        config_path = write_config(tmp_path, body)
+        assert main(["run", "--config", config_path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and "pi.json" in err
 
     @pytest.mark.parametrize(
         "command, key, value, message",

@@ -374,6 +374,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             LikelihoodConfig(psi_prior_mean=0.5, psi_prior_sd=0.6)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"psi_prior_sd": math.nan}, {"smoothing_eps": math.nan}],
+        ids=["sd-nan", "eps-nan"],
+    )
+    def test_non_finite_values_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            LikelihoodConfig(**kwargs)
+
     def test_fixed_psi_broadcast(self):
         cfg = LikelihoodConfig(psi_fixed=0.05)
         np.testing.assert_allclose(cfg.fixed_psi(3), [0.05] * 3)

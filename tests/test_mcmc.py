@@ -71,6 +71,59 @@ class TestSimilarityWeights:
         seen = {ps.sample(rng) for _ in range(2000)}
         assert seen == {(i, j) for i in range(4) for j in range(i + 1, 4)}
 
+    @pytest.mark.parametrize("floor", [0.1, 0.0])
+    def test_uniforms_map_to_pairs_as_one_cumsum(self, floor):
+        # repeated and distinct records; at floor 0 some pairs weigh nothing
+        values = np.array([[0, 1, 2], [0, 1, 2], [0, 1, 0], [1, 2, 0], [0, 1, 2], [2, 0, 1]])
+        ps = PairSampler(make_dataset(values), floor=floor)
+        n = len(values)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        agreements = [int((values[i] == values[j]).sum()) for i, j in pairs]
+        cum = np.cumsum([floor + a for a in agreements])
+        assert ps.total == cum[-1]
+
+        def expected(u):
+            above = np.flatnonzero(cum > u * ps.total)
+            return pairs[above[0]] if len(above) else pairs[-1]
+
+        row_ends = [cum[k] / ps.total for k, (i, j) in enumerate(pairs) if j == n - 1]
+        uniforms = [0.0, 1 - 2**-53, *row_ends, *np.nextafter(row_ends, 0.0)]
+        uniforms += list(cum / ps.total) + list(np.random.default_rng(4).random(2000))
+        draws = [ps.sample(StubUniforms([u])) for u in uniforms]
+        assert draws == [expected(u) for u in uniforms]
+        if floor > 0:
+            assert ps.sample(StubUniforms([1 - 2**-53])) == pairs[-1]
+
+    def test_weight_is_floor_plus_agreements(self):
+        values = np.array([[0, 1, 2], [0, 1, 2], [0, 1, 0], [2, 0, 1]])
+        ps = PairSampler(make_dataset(values), floor=0.1)
+        assert [ps.weight(0, j) for j in (1, 2, 3)] == [3.1, 2.1, 0.1]
+        assert ps.weight(3, 2) == ps.weight(2, 3) == 0.1
+
+    def test_build_memory_stays_linear_in_n(self):
+        # the n(n-1)/2 pair weights alone would take 36 MB here
+        n, cards = 3000, (2, 12, 31, 51, 6)
+        values = np.random.default_rng(2).integers(0, cards, size=(n, len(cards)))
+        ds = make_dataset(values, cardinalities=cards)
+        tracemalloc.start()
+        try:
+            ps = PairSampler(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ps.total > 0
+        assert peak < 2 * 2**20, f"PairSampler build peaked at {peak / 2**20:.1f} MiB"
+
+
+class StubUniforms:
+    """A generator whose random() returns the given values in turn."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
 
 class TestMoves:
     def test_single_record_state_unchanged(self, rng):
@@ -387,6 +440,10 @@ class TestRunChain:
         k0, k1 = ks[chains == 0], ks[chains == 1]
         pooled_se = math.sqrt(k0.var(ddof=1) / _ess(k0) + k1.var(ddof=1) / _ess(k1))
         assert abs(k0.mean() - k1.mean()) < 4 * pooled_se
+
+    def test_nan_chaperone_floor_rejected(self):
+        with pytest.raises(ValueError, match="chaperone_floor"):
+            SamplerConfig(iterations=100, burn_in=0, chaperone_floor=math.nan)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
