@@ -1,10 +1,12 @@
 """Print a sha256 digest of every file the CLI pipeline writes.
 
-Runs simulate, run, estimate, evaluate and summarize through
-`allelink.cli.main` for four configs (the criterion-9 acceptance config
-with the binder, vi and nid losses; the same under the EPP prior; the same
-with every sweep a full reallocation pass; the same with every
-`likelihood`, `sampler` and `estimation` key set away from its default).
+Runs simulate, calibrate, sample-prior, run, estimate, evaluate and
+summarize through `allelink.cli.main` for four configs (the criterion-9
+acceptance config with the binder, vi and nid losses; the same under the
+EPP prior; the same with every sweep a full reallocation pass; the same
+with every `likelihood`, `sampler` and `estimation` key set away from its
+default).  `calibrate` applies to the bbap prior only, so the EPP config
+skips it.
 The commands of one config share one output directory, and after each
 command every file in it is hashed.  Two checkouts whose printed digests
 match wrote byte-identical outputs.  The manifests record the output
@@ -30,7 +32,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from allelink.cli import EXIT_OK, main  # noqa: E402
 
-COMMANDS = ("simulate", "run", "estimate", "evaluate", "summarize")
+COMMANDS = ("simulate", "calibrate", "sample-prior", "run", "estimate", "evaluate",
+            "summarize")
 
 BASE = {
     "scenario": {"id": 2, "clusters": 25, "psi": 0.02, "seed": 3},
@@ -79,6 +82,8 @@ def main_digests(out_root: str) -> int:
         with open(config_path, "w") as fh:
             json.dump(config, fh)
         for command in COMMANDS:
+            if command == "calibrate" and body["prior"]["family"] != "bbap":
+                continue
             code = main([command, "--config", config_path])
             if code != EXIT_OK:
                 print(f"{label} {command}: exit code {code}", file=sys.stderr)

@@ -134,26 +134,11 @@ def _cmd_run(cfg: RunConfig, rundir: _RunDir) -> None:
     mcmc.write_snapshots_csv(trace, rundir.path("xi_snapshots.csv"))
 
 
-def _read_snapshots(cfg: RunConfig,
-                    n: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The run's snapshot file as read_snapshots_csv gives it; a missing or
-    empty file, or one whose rows hold other than n records, raises
-    DataError."""
-    path = os.path.join(cfg.output_dir, "xi_snapshots.csv")
-    if not os.path.exists(path):
-        raise DataError(f"no linkage snapshots at '{path}'; run the sampler first")
-    chains, iters, labels = mcmc.read_snapshots_csv(path)
-    if not len(labels):
-        raise DataError(f"snapshot file '{path}' holds no samples")
-    if n is not None and labels.shape[1] != n:
-        raise DataError(f"snapshot file '{path}': {labels.shape[1]} records, expected {n}")
-    return chains, iters, labels
-
-
 def _load_snapshots(cfg: RunConfig) -> np.ndarray:
     """The last samples_used snapshots by iteration, then chain, as one
     (S, n) label matrix."""
-    chains, iters, labels = _read_snapshots(cfg)
+    chains, iters, labels = mcmc.read_snapshots_csv(
+        os.path.join(cfg.output_dir, "xi_snapshots.csv"))
     take = min(cfg.estimation.samples_used, len(labels))
     # stable, so rows with the same iteration and chain keep their file order
     return labels[np.lexsort((chains, iters))[-take:]]
@@ -203,22 +188,6 @@ def _read_estimate(cfg: RunConfig, loss: str, n: int) -> LinkageStructure | None
     return estimate
 
 
-def _trace_summary(cfg: RunConfig, trace_path: str,
-                   truth: LinkageStructure | None) -> evaluation.TraceSummary:
-    """Summary of the trace.  The linkage snapshots are read only where
-    summarize_trace needs them: a truth to score against and no error
-    rates recorded in the trace; then a missing or empty snapshot file
-    raises DataError."""
-    trace = mcmc.read_trace_jsonl(trace_path)
-    if truth is not None and "fnr" not in trace.rows[0]:
-        chains, iters, labels = _read_snapshots(cfg, truth.n)
-        trace.snapshots = [
-            (chain, it, LinkageStructure(tuple(row)))
-            for chain, it, row in zip(chains.tolist(), iters.tolist(), labels.tolist())
-        ]
-    return evaluation.summarize_trace(trace, truth)
-
-
 def _cmd_evaluate(cfg: RunConfig, rundir: _RunDir) -> None:
     _, truth = _resolve_dataset(cfg)
     if truth is None:
@@ -226,7 +195,13 @@ def _cmd_evaluate(cfg: RunConfig, rundir: _RunDir) -> None:
     trace_path = os.path.join(cfg.output_dir, "trace.jsonl")
     reports = []
     if os.path.exists(trace_path):
-        reports.append(_trace_summary(cfg, trace_path, truth).report.to_dict())
+        trace = mcmc.read_trace_jsonl(trace_path, truth.n)
+        if "fnr" not in trace.rows[0]:
+            # the reader checked each row's canonical form; fnr_fdr takes label lists
+            chains, iters, labels = mcmc.read_snapshots_csv(
+                os.path.join(cfg.output_dir, "xi_snapshots.csv"), truth.n)
+            trace.snapshots = list(zip(chains.tolist(), iters.tolist(), labels.tolist()))
+        reports.append(evaluation.posterior_report(trace, truth).to_dict())
     for loss in cfg.estimation.losses:
         estimate = _read_estimate(cfg, loss, truth.n)
         if estimate is None:
@@ -242,13 +217,9 @@ def _cmd_evaluate(cfg: RunConfig, rundir: _RunDir) -> None:
 
 
 def _cmd_summarize(cfg: RunConfig, rundir: _RunDir) -> None:
-    trace_path = os.path.join(cfg.output_dir, "trace.jsonl")
-    if not os.path.exists(trace_path):
-        raise DataError(f"no trace at '{trace_path}'; run the sampler first")
-    truth = None
-    if cfg.dataset is not None or cfg.scenario is not None:
-        _, truth = _resolve_dataset(cfg)
-    summary = _trace_summary(cfg, trace_path, truth)
+    dataset, truth = _resolve_dataset(cfg)
+    trace = mcmc.read_trace_jsonl(os.path.join(cfg.output_dir, "trace.jsonl"), dataset.n)
+    summary = evaluation.summarize_trace(trace, truth)
     evaluation.write_summary_tsv(summary, rundir.path("summary.tsv"))
     evaluation.write_k_table_tsv(summary, rundir.path("k_distribution.tsv"))
 

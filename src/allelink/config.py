@@ -217,11 +217,27 @@ def _parse_block(block: dict, cls, where: str, defaults: dict | None = None, **g
         raise ConfigError(f"{where[:-1]}: {exc}") from exc
 
 
+def _reject_inapplicable(block: dict, applicable: tuple[str, ...], where: str,
+                         family: str) -> None:
+    """A key family does not read must be absent or null, as manifests write it."""
+    for key, value in block.items():
+        if key != "family" and key not in applicable and value is not None:
+            raise ConfigError(f"'{where}{key}' does not apply to the {family} family")
+
+
+# the keys each calibration family reads
+_CALIBRATION_KEYS = {"geometric": ("p",), "negbin": ("p", "r"), "explicit": ("pi",),
+                     "informed": ("path",)}
+
+
 def _parse_calibration(block: dict, cap: int, cv: float, base_dir: str) -> CalibrationSpec:
     allowed = {"family", "p", "r", "pi", "path"}
     _reject_unknown(block, allowed, "prior.calibration.")
     family = block.get("family", "geometric")
     where = "prior.calibration."
+    # an unknown family is left for CalibrationSpec to reject
+    if isinstance(family, str) and family in _CALIBRATION_KEYS:
+        _reject_inapplicable(block, _CALIBRATION_KEYS[family], where, family)
     pi = _get(block, "pi", None, _floats, where)
     if family == "informed":
         path = block.get("path")
@@ -259,6 +275,8 @@ def _parse_prior(block: dict, base_dir: str) -> PriorConfig:
     family = block.get("family", "bbap")
     if family not in ("bbap", "epp"):
         raise ConfigError(f"'prior.family' must be 'bbap' or 'epp'; got '{family}'")
+    _reject_inapplicable(block, ("theta",) if family == "epp" else ("cap", "cv", "calibration"),
+                         "prior.", family)
     if family == "epp":
         theta = _get(block, "theta", PriorConfig.theta, _float, "prior.")
         if theta <= 0:

@@ -68,26 +68,47 @@ def point_estimate_report(
     return MetricsReport(fnr, fdr, js, estimate.n_clusters, "point-estimate")
 
 
+def posterior_report(trace: PosteriorTrace, truth: LinkageStructure) -> MetricsReport:
+    """Posterior averages of per-sample metrics against the truth, never
+    metrics of an averaged object.  Error rates are the ones recorded in
+    the trace, else recomputed from its linkage snapshots; with neither,
+    ValueError."""
+    rows = trace.rows
+    if not rows:
+        raise ValueError("empty trace")
+    truth_allelic = to_allelic(truth)
+    js_vals = [
+        js_distance(AllelicPartition(tuple(int(v) for v in row["r"])), truth_allelic)
+        for row in rows
+    ]
+    if "fnr" in rows[0]:
+        fnr = float(np.mean([row["fnr"] for row in rows]))
+        fdr = float(np.mean([row["fdr"] for row in rows]))
+    elif trace.snapshots:
+        rates = [fnr_fdr(xi, truth) for _, _, xi in trace.snapshots]
+        fnr = float(np.mean([r[0] for r in rates]))
+        fdr = float(np.mean([r[1] for r in rates]))
+    else:
+        raise ValueError("cannot compute error rates: no rates or snapshots in trace")
+    k = int(np.median([row["K"] for row in rows]))
+    return MetricsReport(fnr, fdr, float(np.mean(js_vals)), k, "posterior-average")
+
+
 @dataclass
 class TraceSummary:
-    """Boxplot table of per-size counts, cluster-count histogram, metrics."""
+    """Boxplot table of per-size counts and the cluster-count histogram."""
 
     sizes: list[int]
     quantiles: np.ndarray  # one row per size, columns _QUANTILES
     truth_counts: list[int] | None
     k_counts: dict[int, int]
-    report: MetricsReport | None
 
 
 def summarize_trace(
     trace: PosteriorTrace, truth: LinkageStructure | None = None
 ) -> TraceSummary:
-    """Posterior quantiles of the size counts plus truth-relative averages.
-
-    Averages are of per-sample metrics, never metrics of an averaged
-    object.  Error rates require either rates recorded in the trace or
-    linkage snapshots to recompute them from.
-    """
+    """Posterior quantiles of the size counts and the histogram of K, from
+    the trace rows alone; the truth, if given, adds its own size counts."""
     rows = trace.rows
     if not rows:
         raise ValueError("empty trace")
@@ -95,40 +116,15 @@ def summarize_trace(
     mat = np.zeros((len(rows), cap))
     for idx, row in enumerate(rows):
         mat[idx, : len(row["r"])] = row["r"]
-    quantiles = np.percentile(mat, _QUANTILES, axis=0).T
-    k_counts = dict(sorted(Counter(row["K"] for row in rows).items()))
-
-    report = None
     truth_counts = None
     if truth is not None:
         truth_allelic = to_allelic(truth)
         truth_counts = [truth_allelic.count_of(s) for s in range(1, cap + 1)]
-        js_vals = [
-            js_distance(AllelicPartition(tuple(int(v) for v in row["r"])), truth_allelic)
-            for row in rows
-        ]
-        if "fnr" in rows[0]:
-            fnr = float(np.mean([row["fnr"] for row in rows]))
-            fdr = float(np.mean([row["fdr"] for row in rows]))
-        elif trace.snapshots:
-            rates = [fnr_fdr(xi, truth) for _, _, xi in trace.snapshots]
-            fnr = float(np.mean([r[0] for r in rates]))
-            fdr = float(np.mean([r[1] for r in rates]))
-        else:
-            raise ValueError("cannot compute error rates: no rates or snapshots in trace")
-        report = MetricsReport(
-            fnr=fnr,
-            fdr=fdr,
-            js=float(np.mean(js_vals)),
-            n_clusters=int(np.median([row["K"] for row in rows])),
-            source="posterior-average",
-        )
     return TraceSummary(
         sizes=list(range(1, cap + 1)),
-        quantiles=quantiles,
+        quantiles=np.percentile(mat, _QUANTILES, axis=0).T,
         truth_counts=truth_counts,
-        k_counts=k_counts,
-        report=report,
+        k_counts=dict(sorted(Counter(row["K"] for row in rows).items())),
     )
 
 
@@ -138,10 +134,7 @@ def write_summary_tsv(summary: TraceSummary, path) -> None:
         fh.write("\t".join(header) + "\n")
         for idx, size in enumerate(summary.sizes):
             row = [str(size)] + [repr(float(v)) for v in summary.quantiles[idx]]
-            if summary.truth_counts is not None and idx < len(summary.truth_counts):
-                row.append(str(summary.truth_counts[idx]))
-            else:
-                row.append("")
+            row.append("" if summary.truth_counts is None else str(summary.truth_counts[idx]))
             fh.write("\t".join(row) + "\n")
 
 

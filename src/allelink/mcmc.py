@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -319,10 +320,9 @@ class ChainState:
         k = self.n_clusters
         out = priors.log_allelic_counts(self.size_counts, n, self.prior)
         out -= math.lgamma(n + 1)
-        for s in range(1, self.cap + 1):
+        for s in np.flatnonzero(self.size_counts[1 : self.cap + 1]) + 1:
             c = int(self.size_counts[s])
-            if c:
-                out += c * math.lgamma(s + 1) + math.lgamma(c + 1)
+            out += c * math.lgamma(s + 1) + math.lgamma(c + 1)
         entity_rows = self.entities[self.assign]
         psi = self.distortion.psi
         for f in range(self.dataset.n_fields):
@@ -563,10 +563,13 @@ def _numeric(value, integral: bool) -> bool:
     return isinstance(value, int) or (not integral and isinstance(value, float))
 
 
-def read_trace_jsonl(path) -> PosteriorTrace:
-    """Rows written by write_trace_jsonl.  A malformed row, a value of the
-    wrong kind, a row whose keys differ from the first row's, or an empty
-    file raises DataError."""
+def read_trace_jsonl(path, n: int | None = None) -> PosteriorTrace:
+    """Rows written by write_trace_jsonl.  A missing or empty file, a
+    malformed row, a value of the wrong kind, a row whose keys differ from
+    the first row's, or (given n, and once every row is well formed) a row
+    whose size counts describe other than n records raises DataError."""
+    if not os.path.exists(path):
+        raise DataError(f"no trace at '{path}'; run the sampler first")
     trace = PosteriorTrace()
     with open(path) as fh:
         for line_no, line in enumerate(fh, 1):
@@ -597,6 +600,10 @@ def read_trace_jsonl(path) -> PosteriorTrace:
             trace.rows.append(row)
     if not trace.rows:
         raise DataError(f"trace file '{path}' holds no rows")
+    for line_no, row in enumerate(trace.rows, 1):
+        records = sum(size * count for size, count in enumerate(row["r"], 1))
+        if n is not None and records != n:
+            raise DataError(f"trace file '{path}' line {line_no}: {records} records, expected {n}")
     return trace
 
 
@@ -607,19 +614,22 @@ def write_snapshots_csv(trace: PosteriorTrace, path) -> None:
             fh.write(",".join(map(str, (chain_id, it) + xi.assignments)) + "\n")
 
 
-def read_snapshots_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def read_snapshots_csv(path, n: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows written by write_snapshots_csv: the chain and iteration columns
     (int64) and the (S, n) int32 matrix of canonical assignment rows.
 
     The file is parsed in one call and its label rows checked for
     canonical form all at once; only if that fails is it read again line
     by line, so that a malformed row raises DataError naming its line.
-    An empty file gives S = 0.
+    A missing or empty file, or (given n) rows of other than n records,
+    also raise DataError.
     """
+    if not os.path.exists(path):
+        raise DataError(f"no linkage snapshots at '{path}'; run the sampler first")
     with open(path) as fh:
         text = fh.read()
     if not text:
-        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, 0), np.int32)
+        raise DataError(f"snapshot file '{path}' holds no samples")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -637,6 +647,8 @@ def read_snapshots_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         or not canonical_rows(rows[:, 2:]).all()
     ):
         rows = _read_snapshot_lines(path, text)
+    if n is not None and rows.shape[1] - 2 != n:
+        raise DataError(f"snapshot file '{path}': {rows.shape[1] - 2} records, expected {n}")
     chains, iters = rows[:, :2].T.astype(np.int64)
     return chains, iters, rows[:, 2:].astype(np.int32)
 

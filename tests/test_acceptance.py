@@ -19,7 +19,7 @@ from allelink.estimation import (
     greedy_epl,
     pairwise_loss,
 )
-from allelink.evaluation import fnr_fdr, js_distance, summarize_trace
+from allelink.evaluation import fnr_fdr, js_distance, posterior_report
 from allelink.likelihood import LikelihoodConfig, make_dataset
 from allelink.mcmc import SamplerConfig, run_chain
 from allelink.partitions import (
@@ -164,8 +164,7 @@ def scenario2_run():
 def test_criterion_6_scenario2_reproduction(scenario2_run):
     trace, truth = scenario2_run
     assert len(trace) == 20_000  # two chains of ten thousand kept sweeps
-    summary = summarize_trace(trace, truth)
-    report = summary.report
+    report = posterior_report(trace, truth)
     fnr_pct, fdr_pct = report.fnr * 100.0, report.fdr * 100.0
     assert abs(fnr_pct - 3.3) <= 3.0
     assert abs(fdr_pct - 3.7) <= 3.0

@@ -38,6 +38,19 @@ def pipeline_config(tmp_path, **extra):
     return body
 
 
+def write_trace_without_rates(tmp_path) -> tuple[str, int]:
+    """Three hand-made trace rows for the pipeline config's truth, with no
+    error rates; returns the config's path and the truth's record count."""
+    out = tmp_path / "out"
+    out.mkdir()
+    config_path = write_config(tmp_path, pipeline_config(tmp_path))
+    n = datagen.simulate(parse_config(config_path, "summarize").scenario)[1].n
+    rows = [{"iter": it, "chain": 0, "K": n - it, "r": [n - 2 * it, it], "psi": [0.01],
+             "logJoint": -1.0} for it in range(3)]
+    (out / "trace.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return config_path, n
+
+
 class TestParseConfig:
     def test_minimal_with_defaults(self, tmp_path):
         path = write_config(
@@ -370,6 +383,38 @@ class TestPipeline:
              "'scenario.weights': nan is not a finite number"),
             ("scenario", {"id": 2, "clusters": 30, "psi": INF, "seed": 5},
              "'scenario.psi': inf is not a finite number"),
+            # a key the chosen family does not read is an error, not ignored
+            ("prior", {"family": "epp", "theta": 2.0, "cap": 6},
+             "'prior.cap' does not apply to the epp family"),
+            ("prior", {"family": "epp", "theta": 2.0, "cv": 0.3},
+             "'prior.cv' does not apply to the epp family"),
+            ("prior", {"family": "epp", "calibration": {"family": "geometric", "p": 0.5}},
+             "'prior.calibration' does not apply to the epp family"),
+            ("prior", {"family": "bbap", "cap": 6, "theta": 2.0},
+             "'prior.theta' does not apply to the bbap family"),
+            ("prior", {"family": "bbap", "cap": 3,
+                       "calibration": {"family": "geometric", "pi": [0.2, 0.1]}},
+             "'prior.calibration.pi' does not apply to the geometric family"),
+            ("prior", {"family": "bbap", "cap": 3,
+                       "calibration": {"family": "explicit", "pi": [0.2, 0.1], "p": 0.5}},
+             "'prior.calibration.p' does not apply to the explicit family"),
+            ("prior", {"family": "bbap", "cap": 3,
+                       "calibration": {"family": "explicit", "pi": [0.2, 0.1], "r": 2.0}},
+             "'prior.calibration.r' does not apply to the explicit family"),
+            ("prior", {"family": "bbap", "cap": 6,
+                       "calibration": {"family": "geometric", "path": "pi.json"}},
+             "'prior.calibration.path' does not apply to the geometric family"),
+            ("prior", {"family": "bbap", "cap": 6,
+                       "calibration": {"family": "negbin", "r": 2.0, "p": 0.5,
+                                       "path": "pi.json"}},
+             "'prior.calibration.path' does not apply to the negbin family"),
+            ("prior", {"family": "bbap", "cap": 3,
+                       "calibration": {"family": "explicit", "pi": [0.2, 0.1],
+                                       "path": "pi.json"}},
+             "'prior.calibration.path' does not apply to the explicit family"),
+            ("prior", {"family": "bbap", "cap": 3,
+                       "calibration": {"family": "informed", "path": "pi.json", "p": 0.5}},
+             "'prior.calibration.p' does not apply to the informed family"),
         ],
     )
     def test_malformed_value_is_config_error_naming_key(self, tmp_path, capsys, block, value, key):
@@ -411,6 +456,32 @@ class TestPipeline:
         assert main([command, "--config", config_path]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "sample-prior"])
+    def test_cap_option_on_epp_config_is_config_error(self, tmp_path, capsys, command):
+        body = pipeline_config(tmp_path, prior={"family": "epp", "theta": 20.0})
+        config_path = write_config(tmp_path, body)
+        assert main([command, "--config", config_path, "--cap", "6"]) == EXIT_CONFIG
+        assert "'prior.cap' does not apply to the epp family" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "prior",
+        [
+            {"family": "epp", "theta": 20.0, "cap": None, "cv": None, "calibration": None},
+            {"family": "bbap", "cap": 6, "theta": None,
+             "calibration": {"family": "geometric", "p": 0.5, "r": None, "pi": None,
+                             "path": None}},
+            {"family": "bbap", "cap": 3,
+             "calibration": {"family": "explicit", "p": None, "r": None, "pi": [0.2, 0.1]}},
+        ],
+        ids=["epp", "geometric", "explicit"],
+    )
+    def test_null_keys_a_family_does_not_read_are_accepted(self, tmp_path, prior):
+        # manifests write null for the calibration keys a family leaves unused
+        config_path = write_config(tmp_path, pipeline_config(tmp_path, prior=prior))
+        assert main(["sample-prior", "--config", config_path]) == EXIT_OK
+        manifest_path = str(tmp_path / "out" / "manifest.json")
+        assert main(["sample-prior", "--config", manifest_path]) == EXIT_OK
 
     @pytest.mark.parametrize("command", ["run", "calibrate", "sample-prior"])
     def test_default_cap_above_record_count_is_config_error(self, tmp_path, capsys, command):
@@ -492,28 +563,54 @@ class TestPipeline:
 
     @pytest.mark.parametrize("command", ["summarize", "evaluate"])
     def test_rates_from_missing_snapshots_is_data_error(self, tmp_path, capsys, command):
-        # with a truth and no rates in the trace, the error rates come from
-        # the snapshot file, so its absence is a missing input
+        # with a truth and no rates in the trace, evaluate takes the error
+        # rates from the snapshot file, so its absence is a missing input;
+        # summarize reads the trace alone
         out = tmp_path / "out"
         out.mkdir()
-        row = {"iter": 0, "chain": 0, "K": 2, "r": [1, 1], "psi": [0.01], "logJoint": -1.0}
-        (out / "trace.jsonl").write_text(json.dumps(row) + "\n")
         config_path = write_config(tmp_path, pipeline_config(tmp_path))
+        n = datagen.simulate(parse_config(config_path, command).scenario)[1].n
+        row = {"iter": 0, "chain": 0, "K": n, "r": [n], "psi": [0.01], "logJoint": -1.0}
+        (out / "trace.jsonl").write_text(json.dumps(row) + "\n")
+        if command == "summarize":
+            assert main([command, "--config", config_path]) == EXIT_OK
+            return
         assert main([command, "--config", config_path]) == EXIT_DATA
         assert f"no linkage snapshots at '{out / 'xi_snapshots.csv'}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["summarize", "evaluate"])
     def test_snapshots_of_other_record_count_are_data_error(self, tmp_path, capsys, command):
-        # the trace has no rates, so the truth is scored against the snapshots
+        # the trace has no rates, so evaluate scores the truth against the
+        # snapshots; summarize reads the trace alone
         out = tmp_path / "out"
         out.mkdir()
-        row = {"iter": 0, "chain": 0, "K": 2, "r": [1, 1], "psi": [0.01], "logJoint": -1.0}
-        (out / "trace.jsonl").write_text(json.dumps(row) + "\n")
-        (out / "xi_snapshots.csv").write_text("0,0,1,1,2\n")
         config_path = write_config(tmp_path, pipeline_config(tmp_path))
         n = datagen.simulate(parse_config(config_path, command).scenario)[1].n
+        row = {"iter": 0, "chain": 0, "K": n, "r": [n], "psi": [0.01], "logJoint": -1.0}
+        (out / "trace.jsonl").write_text(json.dumps(row) + "\n")
+        (out / "xi_snapshots.csv").write_text("0,0,1,1,2\n")
+        if command == "summarize":
+            assert main([command, "--config", config_path]) == EXIT_OK
+            return
         assert main([command, "--config", config_path]) == EXIT_DATA
         assert f"xi_snapshots.csv': 3 records, expected {n}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["summarize", "evaluate"])
+    def test_trace_of_other_record_count_is_data_error(self, tmp_path, capsys, command):
+        # a trace of scenario 2 at 8 clusters, scored against the truth at 12
+        records = {}
+        for clusters in (8, 12):
+            body = pipeline_config(tmp_path, scenario={"id": 2, "clusters": clusters,
+                                                       "psi": 0.02, "seed": 5})
+            body["sampler"] = {"iterations": 30, "burn_in": 10, "chains": 1, "check_every": 20}
+            config_path = write_config(tmp_path, body)
+            records[clusters] = datagen.simulate(parse_config(config_path, command).scenario)[1].n
+            if clusters == 8:
+                assert main(["run", "--config", config_path]) == EXIT_OK
+        assert records[8] != records[12]
+        assert main([command, "--config", config_path]) == EXIT_DATA
+        message = f"trace.jsonl' line 1: {records[8]} records, expected {records[12]}"
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "row, message",
@@ -584,6 +681,34 @@ class TestPipeline:
         for command, name in outputs.items():
             assert main([command, "--config", config_path]) == EXIT_OK
             assert (out / name).read_bytes() == before[name]
+
+    def test_summarize_needs_no_snapshots(self, tmp_path):
+        config_path, n = write_trace_without_rates(tmp_path)
+        out = tmp_path / "out"
+        (out / "xi_snapshots.csv").write_text("0,0," + ",".join(["1"] * n) + "\n")
+        assert main(["summarize", "--config", config_path]) == EXIT_OK
+        written = {name: (out / name).read_bytes()
+                   for name in ("summary.tsv", "k_distribution.tsv")}
+        (out / "xi_snapshots.csv").unlink()
+        assert main(["summarize", "--config", config_path]) == EXIT_OK
+        assert {name: (out / name).read_bytes() for name in written} == written
+
+    def test_summarize_scores_nothing(self, tmp_path, monkeypatch):
+        from allelink import evaluation, partitions
+
+        config_path, n = write_trace_without_rates(tmp_path)
+        (tmp_path / "out" / "xi_snapshots.csv").write_text("0,0," + ",".join(["1"] * n) + "\n")
+
+        def fails(*args):
+            raise AssertionError("summarize scored the trace against the truth")
+
+        for module in (evaluation, partitions):
+            monkeypatch.setattr(module, "fnr_fdr", fails)
+        monkeypatch.setattr(evaluation, "js_distance", fails)
+        assert main(["summarize", "--config", config_path]) == EXIT_OK
+        # the truth still gives its size counts
+        lines = (tmp_path / "out" / "summary.tsv").read_text().splitlines()
+        assert len(lines) == 3 and all(line.split("\t")[-1].isdigit() for line in lines[1:])
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_failed_chain_exits_runtime_whatever_the_cpu_count(

@@ -8,6 +8,7 @@ from allelink.evaluation import (
     fnr_fdr,
     js_distance,
     point_estimate_report,
+    posterior_report,
     summarize_trace,
     write_k_table_tsv,
     write_summary_tsv,
@@ -118,16 +119,16 @@ class TestSummarizeTrace:
         truth = LinkageStructure((1, 1, 2, 3))
         rows = [(2, 1), (4, 0), (2, 1)]
         trace = toy_trace(rows, with_rates=True)
-        summary = summarize_trace(trace, truth)
+        report = posterior_report(trace, truth)
         truth_r = to_allelic(truth)
         expected_js = np.mean(
             [js_distance(AllelicPartition(r), truth_r) for r in rows]
         )
-        assert math.isclose(summary.report.js, expected_js)
-        assert summary.report.fnr == pytest.approx(0.1)
-        assert summary.report.fdr == pytest.approx(0.2)
-        assert summary.report.source == "posterior-average"
-        assert summary.truth_counts == [2, 1]
+        assert math.isclose(report.js, expected_js)
+        assert report.fnr == pytest.approx(0.1)
+        assert report.fdr == pytest.approx(0.2)
+        assert report.source == "posterior-average"
+        assert summarize_trace(trace, truth).truth_counts == [2, 1]
 
     def test_rates_from_snapshots_when_not_recorded(self):
         truth = LinkageStructure((1, 1, 2, 3))
@@ -136,8 +137,7 @@ class TestSummarizeTrace:
             (0, 0, LinkageStructure((1, 1, 2, 3))),
             (0, 2, LinkageStructure((1, 2, 3, 4))),
         ]
-        summary = summarize_trace(trace, truth)
-        assert summary.report.fnr == pytest.approx(0.5)
+        assert posterior_report(trace, truth).fnr == pytest.approx(0.5)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
@@ -145,7 +145,7 @@ class TestSummarizeTrace:
 
     def test_truth_without_rates_or_snapshots_rejected(self):
         with pytest.raises(ValueError):
-            summarize_trace(toy_trace([(2, 1)]), LinkageStructure((1, 1, 2, 3)))
+            posterior_report(toy_trace([(2, 1)]), LinkageStructure((1, 1, 2, 3)))
 
 
 class TestReports:

@@ -745,6 +745,47 @@ class TestTraceIO:
                            + re.escape(message)):
             read_snapshots_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, n, message",
+        [
+            (None, None, "no linkage snapshots at '{path}'; run the sampler first"),
+            ("", None, "snapshot file '{path}' holds no samples"),
+            ("0,0,1,1,2\n0,2,1,2,2\n", 4, "snapshot file '{path}': 3 records, expected 4"),
+            ("0,0,1,1,2\n0,2,1,2,2\n", 2, "snapshot file '{path}': 3 records, expected 2"),
+        ],
+        ids=["missing", "empty", "more-records", "fewer-records"],
+    )
+    def test_snapshot_file_checks(self, tmp_path, text, n, message):
+        path = tmp_path / "snaps.csv"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(DataError, match=re.escape(message.format(path=path))):
+            read_snapshots_csv(path, n)
+        if n is not None:
+            assert read_snapshots_csv(path, 3)[2].shape == (2, 3)
+
+    @pytest.mark.parametrize(
+        "rows, n, message",
+        [
+            (None, 3, "no trace at '{path}'; run the sampler first"),
+            ([[3], [1, 1], [0, 0, 1]], 4, "trace file '{path}' line 1: 3 records, expected 4"),
+            ([[3], [1, 1], [0, 2]], 3, "trace file '{path}' line 3: 4 records, expected 3"),
+        ],
+        ids=["missing", "other-record-count", "one-row-off"],
+    )
+    def test_trace_file_checks(self, tmp_path, rows, n, message):
+        path = tmp_path / "trace.jsonl"
+        if rows is not None:
+            path.write_text("".join(
+                json.dumps({"iter": it, "chain": 0, "K": sum(r), "r": r, "psi": [0.01],
+                            "logJoint": -1.0}) + "\n"
+                for it, r in enumerate(rows)
+            ))
+        with pytest.raises(DataError, match=re.escape(message.format(path=path))):
+            read_trace_jsonl(path, n)
+        if rows is not None:
+            assert len(read_trace_jsonl(path)) == 3
+
     def test_byte_identical_files_same_seed(self, tmp_path):
         ds = small_dataset()
         cfg = SamplerConfig(iterations=60, burn_in=20, chains=1, seed=9, check_every=50)
