@@ -1,12 +1,13 @@
 """Print a sha256 digest of every file the CLI pipeline writes.
 
 Runs simulate, calibrate, sample-prior, run, estimate, evaluate and
-summarize through `allelink.cli.main` for four configs (the criterion-9
+summarize through `allelink.cli.main` for five configs (the criterion-9
 acceptance config with the binder, vi and nid losses; the same under the
 EPP prior; the same with every sweep a full reallocation pass; the same
 with every `likelihood`, `sampler` and `estimation` key set away from its
-default).  `calibrate` applies to the bbap prior only, so the EPP config
-skips it.
+default; the same with the first field's distortion pinned at 0, so that
+every entity update meets rows with an infinite logit).  `calibrate`
+applies to the bbap prior only, so the EPP config skips it.
 The commands of one config share one output directory, and after each
 command every file in it is hashed.  Two checkouts whose printed digests
 match wrote byte-identical outputs.  The manifests record the output
@@ -59,7 +60,10 @@ def configs() -> dict[str, dict]:
                             "snapshot_stride": 3, "check_every": 80}
     every_key["estimation"] = {"losses": ["nid", "binder"], "samples_used": 70,
                                "sweeps": 25, "max_clusters": 24}
-    return {"bbap": BASE, "epp": epp, "move_mix0": full_pass, "every_key": every_key}
+    psi_zero = copy.deepcopy(BASE)
+    psi_zero["likelihood"] = {"psi_fixed": [0.0, 0.02, 0.02, 0.02, 0.02]}
+    return {"bbap": BASE, "epp": epp, "move_mix0": full_pass, "every_key": every_key,
+            "psi_zero": psi_zero}
 
 
 def digests(directory: str) -> list[tuple[str, str]]:

@@ -77,10 +77,10 @@ def posterior_report(trace: PosteriorTrace, truth: LinkageStructure) -> MetricsR
     if not rows:
         raise ValueError("empty trace")
     truth_allelic = to_allelic(truth)
-    js_vals = [
-        js_distance(AllelicPartition(tuple(int(v) for v in row["r"])), truth_allelic)
-        for row in rows
-    ]
+    # rows repeat a few size-count vectors: one distance per distinct vector
+    profiles = [tuple(int(v) for v in row["r"]) for row in rows]
+    js_of = {r: js_distance(AllelicPartition(r), truth_allelic) for r in dict.fromkeys(profiles)}
+    js_vals = [js_of[r] for r in profiles]
     if "fnr" in rows[0]:
         fnr = float(np.mean([row["fnr"] for row in rows]))
         fdr = float(np.mean([row["fdr"] for row in rows]))

@@ -10,6 +10,7 @@ indicators are introduced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,6 +244,11 @@ class AgreementPlanes:
     def clear_slot(self, slot: int, entity: np.ndarray) -> None:
         self.planes[self._planed_offsets + entity[self._planed], slot] = 0
 
+    def move_slot(self, src: int, dst: int) -> None:
+        """Slot dst takes slot src's entity, and src is left empty."""
+        self.planes[:, dst] = self.planes[:, src]
+        self.planes[:, src] = 0
+
     def fill(self, entities: np.ndarray) -> None:
         """Planes of exactly these entities, one per slot from slot 0."""
         self.planes[:] = 0
@@ -318,23 +324,82 @@ def resample_entities(
     """Redraw every entity attribute from its categorical full conditional.
 
     Fields are conditionally independent given the linkage, so each is
-    updated from its own cluster-by-category match counts.
+    updated from its own cluster-by-category match counts.  Each field's
+    value is the argmax of its logits plus K x d Gumbels, the draws of
+    rng.gumbel(size=(K, d)) bit for bit (see _gumbel_argmax).
     """
     n_fields = values.shape[1]
     out = np.empty((n_clusters, n_fields), dtype=np.int64)
-    for f in range(n_fields):
-        fr = freqs[f]
-        d = len(fr)
-        with np.errstate(divide="ignore"):
-            gain = np.log((1.0 - psi[f]) + psi[f] * fr) - np.log(psi[f] * fr)
-        counts = np.zeros((n_clusters, d))
-        np.add.at(counts, (assignments, values[:, f]), 1.0)
-        with np.errstate(invalid="ignore"):
-            # zero-count cells may pair an infinite gain with zero; masked out
-            logits = np.log(fr)[None, :] + np.where(counts > 0, counts * gain[None, :], 0.0)
-        gumbel = rng.gumbel(size=(n_clusters, d))
-        out[:, f] = np.argmax(logits + gumbel, axis=1)
+    # every field's categories in one vector, so that log theta and the
+    # per-match gain take one pass for all fields
+    widths = [len(fr) for fr in freqs]
+    ends = np.cumsum(widths).tolist()
+    fr_all = np.concatenate(freqs)
+    psi_all = np.repeat(psi, widths)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_fr_all = np.log(fr_all)
+        gain_all = np.log((1.0 - psi_all) + psi_all * fr_all) - np.log(psi_all * fr_all)
+        for f in range(n_fields):
+            d = widths[f]
+            log_fr, gain = log_fr_all[ends[f] - d : ends[f]], gain_all[ends[f] - d : ends[f]]
+            x = values[:, f]
+            # flat (cluster, category) cell of each record: the cells with count > 0
+            cells = assignments * d + x
+            counts = np.bincount(cells, minlength=n_clusters * d)
+            logits = np.empty((n_clusters, d))
+            logits[:] = log_fr
+            logits.reshape(-1)[cells] = log_fr[x] + counts.take(cells) * gain[x]
+            u = _gumbel_uniforms(rng, n_clusters * d).reshape(n_clusters, d)
+            out[:, f] = _gumbel_argmax(logits, u)
     return out
+
+
+# a row's vectorized argmax stands only if no other cell comes within this
+# relative margin of it, far above the last-bit error of numpy's log
+_GUMBEL_MARGIN = 1e-9
+
+
+def _gumbel_uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
+    """The size doubles rng.gumbel(size=size) transforms, leaving rng in the
+    state rng.gumbel would: it maps a double u to -log(-log(1 - u)) and
+    redraws a zero, so zeros are dropped and replaced from the next draw."""
+    u = rng.random(size)
+    if size and u.min() == 0.0:
+        u = u[u != 0.0]
+        while len(u) < size:
+            more = rng.random(size - len(u))
+            u = np.concatenate((u, more[more != 0.0]))
+    return u
+
+
+def _gumbel_argmax(logits: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise argmax of logits + G, where G = -log(-log(1 - u)) with libm's
+    log, as rng.gumbel computes it.
+
+    numpy's vectorized log may differ from libm's in the last bit, so a
+    row's argmax from it stands only if no other cell of the row comes
+    within _GUMBEL_MARGIN of it, relative to its size; any other row is
+    recomputed with math.log, which is libm's log.  A row whose top is +inf
+    takes its first infinite cell either way, as np.argmax does.  Call it
+    with invalid floating-point operations ignored.
+    """
+    k, d = logits.shape
+    z = np.subtract(1.0, u)
+    np.log(z, out=z)
+    np.negative(z, out=z)
+    np.log(z, out=z)
+    np.subtract(logits, z, out=z)
+    choice = z.argmax(axis=1)
+    top = z.reshape(-1).take(choice + np.arange(0, k * d, d))
+    # no top lies below its bar, so a row is sure when its d - 1 other
+    # cells do; an infinite top's bar is NaN, which no cell lies below
+    below = z < (top - _GUMBEL_MARGIN * (1.0 + np.abs(top)))[:, None]
+    if np.count_nonzero(below) != k * (d - 1):
+        unsure = (below.sum(axis=1) != d - 1) & (top != np.inf)
+        for r in np.flatnonzero(unsure).tolist():
+            g = [math.log(-math.log(1.0 - v)) for v in u[r].tolist()]
+            choice[r] = np.argmax(logits[r] - np.array(g))
+    return choice
 
 
 def resample_distortion(

@@ -178,6 +178,9 @@ class ChainState:
         self._tables: np.ndarray | None = None
         self._tables_for: DistortionState | None = None
         self._factor_cache: dict[bytes, tuple[np.ndarray, float]] = {}
+        self._bounded = isinstance(prior, BbapParams)
+        # reallocate_record's log weights, one per cluster plus a new one
+        self._logw = np.empty(n + 1)
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -192,8 +195,8 @@ class ChainState:
         return int(self.sizes[: self.n_clusters].max()) if self.n_clusters else 0
 
     def _remove_record(self, i: int) -> None:
-        k = int(self.assign[i])
-        s = int(self.sizes[k])
+        k = self.assign.item(i)
+        s = self.sizes.item(k)
         self.size_counts[s] -= 1
         self.members[k].remove(i)
         self.sizes[k] = s - 1
@@ -204,14 +207,13 @@ class ChainState:
         # cluster vanished: move the last cluster into its slot
         last = self.n_clusters - 1
         if k != last:
-            for j in self.members[last]:
-                self.assign[j] = k
+            self.assign[self.members[last]] = k
             self.members[k] = self.members[last]
             self.sizes[k] = self.sizes[last]
-            self._planes.clear_slot(k, self.entities[k])
             self.entities[k] = self.entities[last]
-            self._planes.set_slot(k, self.entities[k])
-        self._planes.clear_slot(last, self.entities[last])
+            self._planes.move_slot(last, k)
+        else:
+            self._planes.clear_slot(last, self.entities[last])
         self.members[last] = []
         self.sizes[last] = 0
         self.n_clusters = last
@@ -228,7 +230,7 @@ class ChainState:
             self._planes.set_slot(target, self.entities[target])
             self.n_clusters += 1
         else:
-            s = int(self.sizes[target])
+            s = self.sizes.item(target)
             self.members[target].append(i)
             self.sizes[target] = s + 1
             self.size_counts[s] -= 1
@@ -236,8 +238,10 @@ class ChainState:
         self.assign[i] = target
 
     def _prior_factors(self) -> tuple[np.ndarray, float]:
+        """The reallocation factors of the current size counts, from the
+        cache or computed and cached; the moves read a hit inline."""
         # EPP factors depend on n alone, so an EPP chain keeps one entry
-        key = self.size_counts.tobytes() if isinstance(self.prior, BbapParams) else b""
+        key = self.size_counts.tobytes() if self._bounded else b""
         hit = self._factor_cache.get(key)
         if hit is None:
             hit = priors._realloc_log_factors(self.size_counts, int(self.n - 1), self.prior)
@@ -259,13 +263,19 @@ class ChainState:
     def reallocate_record(self, i: int, rng: np.random.Generator) -> None:
         """One collapsed Gibbs update of a single record's assignment."""
         self._remove_record(i)
-        x = self.dataset.values[i]
-        join, new = self._prior_factors()
+        join, new = self._factor_cache.get(
+            self.size_counts.tobytes() if self._bounded else b""
+        ) or self._prior_factors()
         k = self.n_clusters
-        logw = np.empty(k + 1)
+        logw = self._logw[: k + 1]
         if k:
-            logw[:k] = join.take(self.sizes[:k]) + lik.entity_logliks(
-                x, self.entities[:k], self._planes, self._plane_rows[i], self._pattern_tables()[i]
+            np.add(
+                join.take(self.sizes[:k]),
+                lik.entity_logliks(
+                    self.dataset.values[i], self.entities[:k], self._planes,
+                    self._plane_rows[i], self._pattern_tables()[i],
+                ),
+                out=logw[:k],
             )
         logw[k] = new + self._new_logliks[i]
         choice = _sample_from_logw(logw, rng, new_index=k)
@@ -285,13 +295,15 @@ class ChainState:
         record_loglik against the two targets' entities.
         """
         self._remove_record(i)
-        join, _ = self._prior_factors()
-        logw = join[self.sizes[targets]] + logliks
-        if logw.max() == NEG_INF:
+        join, _ = self._factor_cache.get(
+            self.size_counts.tobytes() if self._bounded else b""
+        ) or self._prior_factors()
+        logw = join.take(self.sizes.take(targets)) + logliks
+        choice = _sample_from_logw(logw, rng, new_index=-1)
+        if choice < 0:
             # rejoining the record's own cluster always has positive density
             raise RuntimeError("restricted move found no admissible target")
-        choice = _sample_from_logw(logw, rng, new_index=0)
-        self._insert_record(i, int(targets[choice]), rng)
+        self._insert_record(i, targets.item(choice), rng)
 
     def resample_entities(self, rng: np.random.Generator) -> None:
         self.entities[: self.n_clusters] = lik.resample_entities(
@@ -365,16 +377,20 @@ class ChainState:
 
 
 def _sample_from_logw(logw: np.ndarray, rng: np.random.Generator, new_index: int) -> int:
-    top = logw.max()
+    """Index drawn with probability proportional to exp(logw); new_index,
+    with no draw, when every weight is zero."""
+    # ndarray methods and ufuncs: numpy's function wrappers cost more than
+    # the arithmetic at a few hundred weights
+    top = np.maximum.reduce(logw)
     if top == NEG_INF:
         return new_index
-    cum = np.cumsum(np.exp(logw - top))
+    cum = np.exp(logw - top).cumsum()
     return _first_above(cum, rng.random() * cum[-1])
 
 
 def _first_above(cum: np.ndarray, u: float) -> int:
     """Index of the first running total above u, clamped to the last."""
-    return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+    return min(int(cum.searchsorted(u, "right")), len(cum) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +509,7 @@ def _run_one_chain(
     trace = PosteriorTrace()
     rng = np.random.default_rng(seed)
     state = ChainState(dataset, prior, like_config, rng)
+    truth_labels = None if truth is None else np.array(truth.assignments)
     kept = 0
     for it in range(config.iterations):
         if each_sweep is not None:
@@ -522,7 +539,7 @@ def _run_one_chain(
             "logJoint": state.log_joint(),
         }
         if truth is not None:
-            row["fnr"], row["fdr"] = fnr_fdr(state.assign.tolist(), truth)
+            row["fnr"], row["fdr"] = fnr_fdr(state.assign, truth_labels)
         trace.rows.append(row)
         if kept % config.snapshot_stride == 0:
             trace.snapshots.append((chain_id, it, state.linkage()))

@@ -3,10 +3,11 @@
 A linkage structure assigns every record to a latent entity and induces a
 set partition of the record indices.  The allelic partition summarizes a
 set partition by counting the clusters of each size; it is the coordinate
-system the priors work in.  The contingency table between two labelings
-is the one place co-clustered pairs are counted: pairwise error rates and
-every partition loss are functions of it.  The brute-force enumerator and
-pair lister here back the correctness tests of every downstream module.
+system the priors work in.  pair_counts is the one place co-clustered
+pairs are counted: pairwise error rates and the Binder loss are functions
+of it, and the information losses of the contingency table between two
+labelings.  The brute-force enumerator and pair lister here back the
+correctness tests of every downstream module.
 """
 
 from __future__ import annotations
@@ -242,14 +243,31 @@ def contingency(a: Labels, b: Labels) -> tuple[Counter, Counter, Counter]:
     return Counter(zip(a, b)), Counter(a), Counter(b)
 
 
-def _pairs(sizes: Counter) -> int:
-    return sum(m * (m - 1) // 2 for m in sizes.values())
+def _codes(labels: Labels) -> np.ndarray:
+    """A labeling as int64 codes in [0, n], the same partition."""
+    labels = np.asarray(
+        labels.assignments if isinstance(labels, LinkageStructure) else labels, dtype=np.int64
+    )
+    if len(labels) and (labels.min() < 0 or labels.max() > len(labels)):
+        return np.unique(labels, return_inverse=True)[1].reshape(-1)
+    return labels
+
+
+def _pairs(sizes: np.ndarray) -> int:
+    return int((sizes * (sizes - 1)).sum()) // 2
 
 
 def pair_counts(a: Labels, b: Labels) -> tuple[int, int, int]:
-    """Co-clustered record pairs in a, in b, and in both."""
-    joint, sizes_a, sizes_b = contingency(a, b)
-    return _pairs(sizes_a), _pairs(sizes_b), _pairs(joint)
+    """Co-clustered record pairs in a, in b, and in both.
+
+    Counted over integer (a, b) keys rather than through contingency: the
+    counts are the same integers, without its first-appearance order.
+    """
+    a, b = _codes(a), _codes(b)
+    if len(a) != len(b):
+        raise ValueError("labelings must have the same length")
+    joint = np.unique(a * (len(b) + 1) + b, return_counts=True)[1]
+    return _pairs(np.bincount(a)), _pairs(np.bincount(b)), _pairs(joint)
 
 
 def fnr_fdr(estimate: Labels, truth: Labels) -> tuple[float, float]:

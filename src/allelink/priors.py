@@ -432,8 +432,9 @@ def _realloc_log_factors(
         join = np.append(NEG_INF, np.log(np.arange(1, n_minus + 1)) + c)
         return join, log(params.theta) + c
     cap = params.cap
-    counts = [int(c) for c in size_counts] + [0] * (cap + 1 - len(size_counts))
-    join = np.full(cap + 1, NEG_INF)
+    counts = np.asarray(size_counts, dtype=np.int64).tolist()
+    counts += [0] * (cap + 1 - len(counts))
+    join = [NEG_INF] * (cap + 1)
     above = 0.0  # sum of the new-record ratios over sizes above t + 1
     g_up, gain_up = 0.0, NEG_INF  # at t + 1: new-record ratio, one-more-cluster ratio
     left = n_minus  # records in clusters of size <= t
@@ -458,7 +459,7 @@ def _realloc_log_factors(
         raise ValueError("reduced state lies outside the prior support")
     if left:
         join[1] = log(2) - log(left) + above + gain_up
-    return join, log(left + 1) + above + g_up
+    return np.array(join), log(left + 1) + above + g_up
 
 
 def reallocation_weights(reduced: LinkageStructure, params: PriorParams) -> np.ndarray:

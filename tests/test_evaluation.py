@@ -130,6 +130,24 @@ class TestSummarizeTrace:
         assert report.source == "posterior-average"
         assert summarize_trace(trace, truth).truth_counts == [2, 1]
 
+    def test_js_distance_once_per_distinct_size_counts(self, monkeypatch):
+        from allelink import evaluation
+
+        truth = LinkageStructure((1, 1, 2, 3))
+        rows = [(2, 1), (4, 0), (2, 1), (2, 1), (0, 2), (4, 0)]
+        calls = []
+
+        def counting(a, b):
+            calls.append(a.counts)
+            return js_distance(a, b)
+
+        monkeypatch.setattr(evaluation, "js_distance", counting)
+        report = posterior_report(toy_trace(rows, with_rates=True), truth)
+        assert sorted(calls) == sorted(set(rows))
+        truth_r = to_allelic(truth)
+        per_row = [js_distance(AllelicPartition(r), truth_r) for r in rows]
+        assert report.js == float(np.mean(per_row))
+
     def test_rates_from_snapshots_when_not_recorded(self):
         truth = LinkageStructure((1, 1, 2, 3))
         trace = toy_trace([(2, 1)] * 4)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from allelink import likelihood
 from allelink.likelihood import (
     AgreementPlanes,
     Dataset,
@@ -21,6 +22,7 @@ from allelink.likelihood import (
     resample_distortion,
     resample_entities,
 )
+from allelink.priors import BbapParams, EppParams, sample_prior
 
 
 class TestEmpiricalFreqs:
@@ -262,6 +264,129 @@ class TestResampleEntities:
         ]
         counts = np.bincount(draws, minlength=5)
         assert counts.argmax() == 2
+
+
+def dense_resample_entities(values, assignments, n_clusters, psi, freqs, rng):
+    """The entity update as a dense draw: np.add.at counts, rng.gumbel noise
+    per field and a row-wise argmax."""
+    out = np.empty((n_clusters, values.shape[1]), dtype=np.int64)
+    for f, fr in enumerate(freqs):
+        d = len(fr)
+        with np.errstate(divide="ignore"):
+            gain = np.log((1.0 - psi[f]) + psi[f] * fr) - np.log(psi[f] * fr)
+        counts = np.zeros((n_clusters, d))
+        np.add.at(counts, (assignments, values[:, f]), 1.0)
+        with np.errstate(invalid="ignore"):
+            logits = np.log(fr)[None, :] + np.where(counts > 0, counts * gain[None, :], 0.0)
+        out[:, f] = np.argmax(logits + rng.gumbel(size=(n_clusters, d)), axis=1)
+    return out
+
+
+def assert_same_draws_as_dense(values, assignments, n_clusters, psi, freqs, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = resample_entities(values, assignments, n_clusters, psi, freqs, rng)
+    expected = dense_resample_entities(values, assignments, n_clusters, psi, freqs, ref_rng)
+    assert np.array_equal(got, expected)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class CountingMath:
+    """Stands in for the likelihood module's math, counting log calls."""
+
+    def __init__(self):
+        self.logs = 0
+
+    def log(self, x):
+        self.logs += 1
+        return math.log(x)
+
+
+class TestEntityDrawStream:
+    """resample_entities draws what the dense Gumbel draw does, bit for bit,
+    and leaves the generator where it would."""
+
+    CARDINALITIES = (2, 3, 12, 31, 80)
+    PSI = {
+        "0.01": np.full(5, 0.01),
+        "0.2": np.full(5, 0.2),
+        "1": np.ones(5),
+        "1e-9": np.full(5, 1e-9),
+        "one-field-at-0": np.array([0.01, 0.0, 0.2, 1.0, 1e-9]),
+    }
+
+    @pytest.mark.parametrize("psi", list(PSI), ids=list(PSI))
+    @pytest.mark.parametrize("family", ["bbap", "epp"])
+    def test_matches_dense_draw(self, psi, family):
+        rng = np.random.default_rng(41)
+        n = 60
+        values = np.column_stack([rng.integers(0, d, n) for d in self.CARDINALITIES])
+        freqs = empirical_freqs(values, self.CARDINALITIES)
+        prior = BbapParams(4, (1.0, 2.0, 0.5), (3.0, 1.0, 2.0)) if family == "bbap" else EppParams(8.0)
+        labelings = [np.zeros(n, dtype=np.int64), np.arange(n)]
+        labelings += [np.array(sample_prior(prior, n, rng).assignments) - 1 for _ in range(6)]
+        for seed, labels in enumerate(labelings):
+            k = int(labels.max()) + 1
+            assert_same_draws_as_dense(values, labels, k, self.PSI[psi], freqs, seed)
+
+    def test_infinite_top_takes_its_first_infinite_cell_without_log(self, monkeypatch):
+        # at psi = 0 every cell a member sits in has an infinite logit
+        values = np.array([[0, 3], [2, 3], [1, 1], [1, 0]])
+        freqs = uniform_freqs((3, 4))
+        psi = np.array([0.0, 0.0])
+        counting = CountingMath()
+        monkeypatch.setattr(likelihood, "math", counting)
+        for seed in range(20):
+            assign = np.array([0, 0, 1, 2])
+            rng = np.random.default_rng(seed)
+            got = resample_entities(values, assign, 3, psi, freqs, rng)
+            # a two-member cluster takes its first member value, as np.argmax does
+            assert got.tolist() == [[0, 3], [1, 1], [1, 0]]
+            assert_same_draws_as_dense(values, assign, 3, psi, freqs, seed)
+        assert counting.logs == 0
+
+    def test_near_tie_is_decided_by_libm_log(self, monkeypatch):
+        # one row of two cells whose logits are set by hand to tie within a
+        # few units in the last place; the seed is one whose Gumbels numpy's
+        # log rounds otherwise than libm's, where the platform has one
+        def gumbels(seed):
+            u = np.random.default_rng(seed).random(2)
+            return [-math.log(-math.log(1.0 - v)) for v in u], (-np.log(-np.log(1.0 - u))).tolist()
+
+        seed = next((s for s in range(5000) if gumbels(s)[0] != gumbels(s)[1]), 7)
+        g = gumbels(seed)[0]
+        counting = CountingMath()
+        monkeypatch.setattr(likelihood, "math", counting)
+        choices = set()
+        for step in range(-4, 5):
+            x = g[1] - g[0]
+            for _ in range(abs(step)):
+                x = np.nextafter(x, np.sign(step) * np.inf)
+            logits = np.array([[x, 0.0]])
+            expected = np.argmax(logits + np.random.default_rng(seed).gumbel(size=(1, 2)), axis=1)
+            u = likelihood._gumbel_uniforms(np.random.default_rng(seed), 2).reshape(1, 2)
+            before = counting.logs
+            got = likelihood._gumbel_argmax(logits, u)
+            # the row took the exact path: two logs per cell
+            assert counting.logs - before == 4
+            assert np.array_equal(got, expected)
+            choices.add(int(got[0]))
+        assert choices == {0, 1}
+
+    def test_zero_uniforms_are_dropped_and_redrawn(self):
+        class Stub:
+            def __init__(self, batches):
+                self.batches, self.sizes = [np.array(b, dtype=float) for b in batches], []
+
+            def random(self, size):
+                self.sizes.append(size)
+                out = self.batches.pop(0)
+                assert len(out) == size
+                return out
+
+        stub = Stub([[0.5, 0.0, 0.25, 0.0], [0.0, 0.75], [0.125]])
+        u = likelihood._gumbel_uniforms(stub, 4)
+        assert u.tolist() == [0.5, 0.25, 0.75, 0.125]
+        assert stub.sizes == [4, 2, 1]
 
 
 class TestResampleDistortion:

@@ -174,6 +174,23 @@ class TestContingency:
                 assert pairwise_loss(a, b, "binder") == len(pa ^ pb) / 10
 
 
+class TestPairCounts:
+    def test_any_integer_labels_and_arrays(self, rng):
+        # slot ids from 0, negative and very large labels count as canonical ones
+        for _ in range(200):
+            n = int(rng.integers(1, 15))
+            a, b = rng.integers(0, 5, size=n), rng.integers(0, 5, size=n)
+            pa, pb = matched_pairs(canonicalize(a)), matched_pairs(canonicalize(b))
+            expected = (len(pa), len(pb), len(pa & pb))
+            spread = a * 10**12 - 7
+            assert pair_counts(a, b) == expected
+            assert pair_counts(spread.tolist(), canonicalize(b)) == expected
+            assert pair_counts(canonicalize(a), -b) == expected
+
+    def test_empty_labelings(self):
+        assert pair_counts((), ()) == (0, 0, 0)
+
+
 class TestAllelicPartitionType:
     def test_invariants(self):
         with pytest.raises(ValueError):
