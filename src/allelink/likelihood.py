@@ -10,6 +10,8 @@ indicators are introduced.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -106,6 +108,12 @@ class Dataset:
     def log_freqs(self) -> list[np.ndarray]:
         return [np.log(f) for f in self.freqs]
 
+    @functools.cached_property
+    def record_freqs(self) -> np.ndarray:
+        """Reference frequency of every record's observed value, records by
+        fields; a constant of the data, computed once."""
+        return _record_freqs(self.values, self.freqs)
+
 
 def make_dataset(
     values: np.ndarray,
@@ -153,18 +161,30 @@ def _record_freqs(values: np.ndarray, freqs: list[np.ndarray]) -> np.ndarray:
 
 
 def record_loglik(
-    x: np.ndarray, y: np.ndarray, psi: np.ndarray, freqs: list[np.ndarray]
-) -> float:
-    """Log likelihood of one record given its entity's attributes."""
-    out = 0.0
-    for f in range(len(freqs)):
-        p = psi[f] * freqs[f][x[f]]
-        if x[f] == y[f]:
-            p += 1.0 - psi[f]
-        if p <= 0.0:
-            return float("-inf")
-        out += np.log(p)
-    return float(out)
+    x: np.ndarray,
+    y: np.ndarray,
+    psi: np.ndarray,
+    freqs: list[np.ndarray],
+    x_freqs: np.ndarray | None = None,
+) -> float | np.ndarray:
+    """Log likelihood of a record given its entity's attributes.
+
+    x and y hold fields on their last axis and broadcast against each other
+    over the leading ones, so one call scores many record-entity pairs;
+    every pair's field terms are added one at a time in field order, as for
+    a single pair.  x_freqs, if given, holds the reference frequency of
+    each of x's values (rows of Dataset.record_freqs), which are otherwise
+    looked up in freqs.
+    """
+    if x_freqs is None:
+        x_freqs = np.stack([freqs[f][x[..., f]] for f in range(len(freqs))], axis=-1)
+    scaled = psi * x_freqs
+    with np.errstate(divide="ignore"):
+        terms = np.log(np.where(x == y, scaled + (1.0 - psi), scaled))
+    out = terms[..., 0]
+    for f in range(1, terms.shape[-1]):
+        out = out + terms[..., f]
+    return float(out) if out.ndim == 0 else out
 
 
 def pattern_tables(values: np.ndarray, psi: np.ndarray, freqs: list[np.ndarray]) -> np.ndarray:
@@ -263,20 +283,34 @@ def entity_logliks(
     rows: np.ndarray,
     table: np.ndarray,
 ) -> np.ndarray:
-    """record_loglik of one record against every entity row at once.
+    """record_loglik of one record, or of each record of a block, against
+    every entity row at once.
 
-    planes holds exactly these entities in slots 0..K-1, rows is x's row of
-    planes.record_rows, and table is the record's row of pattern_tables,
-    C chunks by 2^min(F, 8) patterns; chunk subtotals are added in chunk
-    order.
+    planes holds exactly these entities in slots 0..K-1.  For one record, x
+    is its values, rows its row of planes.record_rows and table its row of
+    pattern_tables, C chunks by 2^min(F, 8) patterns, and the result has K
+    entries.  For a block of r records every argument but entities and
+    planes gains a leading axis of length r, and so does the result.  Chunk
+    subtotals are added in chunk order.
     """
     k = len(entities)
+    block = x.ndim == 2
+    if block:
+        # each record reads its own rows of the tables, flattened
+        flat = table.reshape(-1)
+        starts = np.arange(0, flat.size, flat.size // len(table))[:, None]
     out = None
     for c, (span, compared) in enumerate(planes.chunks):
-        codes = np.bitwise_or.reduce(planes.planes[rows[span], :k], axis=0)
+        codes = np.bitwise_or.reduce(planes.planes.take(rows[..., span], axis=0), axis=-2)
+        codes = codes[..., :k]
         for f, bit in compared:
-            codes[entities[:, f] == x[f]] |= bit
-        part = table[c].take(codes)
+            codes[entities[:, f] == x[..., f, None]] |= bit
+        if block:
+            index = codes.astype(np.intp)
+            index += starts + c * table.shape[-1] if c else starts
+            part = flat.take(index)
+        else:
+            part = table[c].take(codes)
         out = part if out is None else out + part
     return out
 
@@ -301,11 +335,24 @@ def draw_singleton_entity(
 
     The conditional is a two-part mixture: copy the observed value with
     probability 1 - psi, otherwise draw from the reference frequencies.
+    Each field takes a uniform, and a distorted field then a second one,
+    read as rng.choice(d, p=freqs[f]) reads it: the first value whose
+    normalized cumulative frequency lies above it.  The first F uniforms
+    come in one block; almost always none is below its psi, and the record
+    is the entity.
     """
+    first = rng.random(len(freqs))
     y = np.array(x, dtype=np.int64, copy=True)
+    if not np.count_nonzero(first < psi):
+        return y
+    # the block holds the first F uniforms of the per-field order; later
+    # ones are drawn as they are needed
+    uniforms = itertools.chain(first.tolist(), iter(rng.random, None))
     for f in range(len(freqs)):
-        if rng.random() < psi[f]:
-            y[f] = rng.choice(len(freqs[f]), p=freqs[f])
+        if next(uniforms) < psi[f]:
+            cdf = freqs[f].cumsum()
+            cdf /= cdf[-1]
+            y[f] = cdf.searchsorted(next(uniforms), "right")
     return y
 
 
@@ -408,16 +455,21 @@ def resample_distortion(
     freqs: list[np.ndarray],
     state: DistortionState,
     rng: np.random.Generator,
+    record_freqs: np.ndarray | None = None,
 ) -> DistortionState:
     """Redraw indicators then distortion probabilities from their conditionals.
 
     A mismatch between record and entity forces the indicator on; matches
     toggle it with the posterior odds of a coincidental agreement.  The
     probabilities are then Beta with the indicator totals added.
+    record_freqs, if given, is the records' reference frequencies
+    (Dataset.record_freqs), which are otherwise computed from freqs.
     """
     n, n_fields = values.shape
     mismatch = values != entity_rows
-    scaled = state.psi[None, :] * _record_freqs(values, freqs)
+    if record_freqs is None:
+        record_freqs = _record_freqs(values, freqs)
+    scaled = state.psi[None, :] * record_freqs
     p_on = scaled / (scaled + (1.0 - state.psi)[None, :])
     indicators = mismatch | (rng.random((n, n_fields)) < p_on)
     on = indicators.sum(axis=0)

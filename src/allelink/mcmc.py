@@ -31,6 +31,10 @@ NEG_INF = float("-inf")
 _NEW = -1
 # reallocation-factor entries a bbap chain keeps before its cache is cleared
 FACTOR_CACHE_ENTRIES = 100_000
+# (records x clusters) entries a full pass scores in one block: 16 KB of doubles
+RUN_ENTRIES = 2048
+# pair weights the pair proposal's build holds at once
+PAIR_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -93,28 +97,47 @@ class PairSampler:
     are proposed often while every pair keeps positive probability
     whenever the floor is positive.  Only the running total of the pair
     weights at the end of each row i, over the pairs (i, j > i) in row
-    order, is kept: a draw recomputes the one row it lands in.
+    order, is kept: a draw recomputes the one row it lands in.  The build
+    takes rows in blocks of about PAIR_BLOCK_ENTRIES pairs, one cumsum
+    each, continuing the previous block's total, so every end rounds as in
+    a single cumsum over all pairs.
     """
 
     def __init__(self, dataset: Dataset, floor: float = 0.1):
         n = dataset.n
         if n < 2:
             raise ValueError("need at least two records to pick pairs")
-        self._values, self._floor = dataset.values, floor
+        # field-major, so that a row's agreement counts add F contiguous rows
+        self._values_t, self._floor = np.ascontiguousarray(dataset.values.T), floor
         self._ends = np.empty(n - 1)
-        for i in range(n - 1):
-            self._ends[i] = self._row_cum(i)[-1]
+        total, i = 0.0, 0
+        while i < n - 1:
+            # rows i..j-1, where row r holds the n - 1 - r pairs (r, r' > r)
+            j, pairs = i + 1, n - 1 - i
+            while j < n - 1 and pairs + n - 1 - j <= PAIR_BLOCK_ENTRIES:
+                pairs += n - 1 - j
+                j += 1
+            cum = np.cumsum(np.concatenate(([total], self._block_weights(i, j))))[1:]
+            self._ends[i:j] = cum[np.cumsum(np.arange(n - 1 - i, n - 1 - j, -1)) - 1]
+            total, i = cum[-1], j
         self.total = float(self._ends[-1])
+
+    def _block_weights(self, i: int, j: int) -> np.ndarray:
+        """The pair weights of rows i..j-1 in row order."""
+        agree = (self._values_t[:, i:j, None] == self._values_t[:, None, i + 1:]).sum(axis=0)
+        # row i + r pairs with the records above it: its columns from r on
+        above = np.arange(agree.shape[1]) >= np.arange(j - i)[:, None]
+        return self._floor + agree[above]
 
     def _row_cum(self, i: int) -> np.ndarray:
         """Row i's running totals, led by row i - 1's end so that each one
         rounds as in a single cumsum over all pairs in row order."""
         start = self._ends[i - 1] if i else 0.0
-        agree = (self._values[i + 1:] == self._values[i]).sum(axis=1)
+        agree = (self._values_t[:, i + 1:] == self._values_t[:, i, None]).sum(axis=0)
         return np.cumsum(np.concatenate(([start], self._floor + agree)))[1:]
 
     def weight(self, i: int, j: int) -> float:
-        return self._floor + int((self._values[i] == self._values[j]).sum())
+        return self._floor + int((self._values_t[:, i] == self._values_t[:, j]).sum())
 
     def sample(self, rng: np.random.Generator) -> tuple[int, int]:
         u = rng.random() * self.total
@@ -142,7 +165,13 @@ class ChainState:
         n, n_fields = dataset.n, dataset.n_fields
         self.cap = prior.cap if isinstance(prior, BbapParams) else n
         self.freqs = dataset.freqs
-        self._log_freqs = dataset.log_freqs()
+        # log_joint's field-major inputs: the record values and reference
+        # frequencies, and every field's log frequencies in one vector
+        self._values_t = np.ascontiguousarray(dataset.values.T)
+        self._record_freqs_t = np.ascontiguousarray(dataset.record_freqs.T)
+        self._log_freqs = np.concatenate(dataset.log_freqs())
+        widths = [len(f) for f in self.freqs]
+        self._field_starts = (np.cumsum(widths) - widths)[:, None]
 
         self.assign = np.arange(n, dtype=np.int64)
         self.members: list[list[int]] = [[i] for i in range(n)]
@@ -218,7 +247,7 @@ class ChainState:
         self.sizes[last] = 0
         self.n_clusters = last
 
-    def _insert_record(self, i: int, target: int, rng: np.random.Generator) -> None:
+    def _insert_record(self, i: int, target: int, rng: np.random.Generator | None) -> None:
         if target == _NEW:
             target = self.n_clusters
             self.members[target] = [i]
@@ -237,18 +266,28 @@ class ChainState:
             self.size_counts[s + 1] += 1
         self.assign[i] = target
 
-    def _prior_factors(self) -> tuple[np.ndarray, float]:
-        """The reallocation factors of the current size counts, from the
-        cache or computed and cached; the moves read a hit inline."""
+    def _prior_factors(self, counts: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+        """The reallocation factors of the given size counts (the current
+        ones by default), from the cache or computed and cached; the moves
+        read a hit inline."""
+        counts = self.size_counts if counts is None else counts
         # EPP factors depend on n alone, so an EPP chain keeps one entry
-        key = self.size_counts.tobytes() if self._bounded else b""
+        key = counts.tobytes() if self._bounded else b""
         hit = self._factor_cache.get(key)
         if hit is None:
-            hit = priors._realloc_log_factors(self.size_counts, int(self.n - 1), self.prior)
+            hit = priors._realloc_log_factors(counts, int(self.n - 1), self.prior)
             if len(self._factor_cache) >= FACTOR_CACHE_ENTRIES:
                 self._factor_cache.clear()
             self._factor_cache[key] = hit
         return hit
+
+    def _factors_without(self, size: int) -> tuple[np.ndarray, float]:
+        """The reallocation factors once a record leaves a cluster of the
+        given size (at least 2), as _remove_record leaves the size counts."""
+        counts = self.size_counts.copy()
+        counts[size] -= 1
+        counts[size - 1] += 1
+        return self._prior_factors(counts)
 
     def _pattern_tables(self) -> np.ndarray:
         if self._tables_for is not self.distortion:
@@ -281,8 +320,89 @@ class ChainState:
         choice = _sample_from_logw(logw, rng, new_index=k)
         self._insert_record(i, _NEW if choice == k else choice, rng)
 
+    def reallocate_run(self, i: int, rng: np.random.Generator) -> int:
+        """Update records i, i + 1, ... in order, each exactly as
+        reallocate_record would, and return the first index not updated.
+
+        A run is the longest stretch of records from i, at most
+        RUN_ENTRIES // K of them, whose clusters are not singletons.  Such a
+        record's removal moves no slot, and if it draws its own cluster back
+        the state is as it was but for its place at the end of its member
+        list.  So the run is scored in one block against the state it
+        starts from, each record against every cluster with its own cluster
+        one smaller, and drawn in order with one uniform each; the first
+        record that moves or opens a cluster is applied and ends the run.
+        A singleton, or a run of one, takes reallocate_record.
+        """
+        assign, sizes = self.assign, self.sizes
+        k = self.n_clusters
+        end = min(self.n, i + RUN_ENTRIES // k)
+        j = i
+        while j < end and sizes.item(assign.item(j)) > 1:
+            j += 1
+        if j < i + 2:
+            self.reallocate_record(i, rng)
+            return i + 1
+        own = assign[i:j]
+        own_sizes = sizes.take(own)
+        size_list = own_sizes.tolist()
+        # bbap factors depend on the counts each removal leaves, EPP ones on n alone
+        factors = {
+            s: self._factors_without(s) for s in (set(size_list) if self._bounded else size_list[:1])
+        }
+        if len(factors) == 1:
+            ((join, new),) = factors.values()
+            at = join.take(sizes[:k], mode="clip")
+            own_at = join.take(own_sizes - 1)
+        else:
+            # each record reads the factor row of its own cluster's size
+            distinct = list(factors)
+            picked = [distinct.index(s) for s in size_list]
+            joins = np.array([factors[s][0] for s in distinct])
+            at = joins.take(sizes[:k], axis=1, mode="clip")[picked]
+            own_at = joins[picked, own_sizes - 1]
+            new = [factors[s][1] for s in size_list]
+        scores = lik.entity_logliks(
+            self.dataset.values[i:j], self.entities[:k], self._planes,
+            self._plane_rows[i:j], self._pattern_tables()[i:j],
+        )
+        # every cluster at its size, then each record's own cluster one
+        # smaller; an EPP row has n entries, so a cluster of all n records
+        # lies past its end (clipped) until its entry is replaced
+        logw = np.empty((j - i, k + 1))
+        np.add(at, scores, out=logw[:, :k])
+        rows = np.arange(j - i)
+        logw[rows, own] = own_at + scores[rows, own]
+        np.add(new, self._new_logliks[i:j], out=logw[:, k])
+        top = np.maximum.reduce(logw, axis=1, keepdims=True)
+        stop = j - i
+        if NEG_INF in top.ravel().tolist():
+            # a record with no admissible cluster opens one without a draw, as
+            # reallocate_record does: the run stops before it
+            stop = int(np.argmax(top == NEG_INF))
+        cum = logw[:stop]
+        np.subtract(cum, top[:stop], out=cum)
+        np.exp(cum, out=cum)
+        np.add.accumulate(cum, axis=1, out=cum)
+        members = self.members
+        for r, (c, total) in enumerate(zip(own.tolist(), cum[:, k].tolist())):
+            choice = int(cum[r].searchsorted(rng.random() * total, "right"))
+            if choice == c:
+                # the record rejoins its cluster: what _remove_record and
+                # _insert_record change is its place in the member list
+                members[c].remove(i + r)
+                members[c].append(i + r)
+                continue
+            self._remove_record(i + r)
+            self._insert_record(i + r, _NEW if choice >= k else choice, rng)
+            return i + r + 1
+        if stop < j - i:
+            self.reallocate_record(i + stop, rng)
+            return i + stop + 1
+        return j
+
     def restricted_reallocate(
-        self, i: int, targets: np.ndarray, logliks: np.ndarray, rng: np.random.Generator
+        self, i: int, targets: np.ndarray, logliks: np.ndarray, u: float
     ) -> None:
         """Gibbs update of one record restricted to two anchors' clusters.
 
@@ -292,18 +412,20 @@ class ChainState:
         is what conserves the restricted set and makes the move leave the
         posterior invariant.  Each target holds its anchor, so no removal
         empties it or moves its slot; logliks holds the record's
-        record_loglik against the two targets' entities.
+        record_loglik against the two targets' entities, and u is the
+        update's uniform, used as _sample_from_logw uses its draw.
         """
         self._remove_record(i)
         join, _ = self._factor_cache.get(
             self.size_counts.tobytes() if self._bounded else b""
         ) or self._prior_factors()
         logw = join.take(self.sizes.take(targets)) + logliks
-        choice = _sample_from_logw(logw, rng, new_index=-1)
-        if choice < 0:
+        top = np.maximum.reduce(logw)
+        if top == NEG_INF:
             # rejoining the record's own cluster always has positive density
             raise RuntimeError("restricted move found no admissible target")
-        self._insert_record(i, targets.item(choice), rng)
+        cum = np.exp(logw - top).cumsum()
+        self._insert_record(i, targets.item(_first_above(cum, u * cum[-1])), None)
 
     def resample_entities(self, rng: np.random.Generator) -> None:
         self.entities[: self.n_clusters] = lik.resample_entities(
@@ -321,7 +443,8 @@ class ChainState:
             return
         entity_rows = self.entities[self.assign]
         self.distortion = lik.resample_distortion(
-            self.dataset.values, entity_rows, self.freqs, self.distortion, rng
+            self.dataset.values, entity_rows, self.freqs, self.distortion, rng,
+            self.dataset.record_freqs,
         )
 
     # -- densities & checks ----------------------------------------------
@@ -335,14 +458,21 @@ class ChainState:
         for s in np.flatnonzero(self.size_counts[1 : self.cap + 1]) + 1:
             c = int(self.size_counts[s])
             out += c * math.lgamma(s + 1) + math.lgamma(c + 1)
-        entity_rows = self.entities[self.assign]
         psi = self.distortion.psi
-        for f in range(self.dataset.n_fields):
-            out += float(self._log_freqs[f][self.entities[:k, f]].sum())
-            p = psi[f] * self.freqs[f][self.dataset.values[:, f]]
-            p = p + (1.0 - psi[f]) * (self.dataset.values[:, f] == entity_rows[:, f])
-            with np.errstate(divide="ignore"):
-                out += float(np.log(p).sum())
+        # per field, the entities' log frequencies and the records' log
+        # likelihoods: (F, K) and (F, n) C-contiguous arrays, whose rows
+        # numpy sums as it sums a 1-D array
+        entity_log_freqs = self._log_freqs.take(self._field_starts + self.entities[:k].T)
+        agree = self._values_t == self.entities.T.take(self.assign, axis=1)
+        p = psi[:, None] * self._record_freqs_t
+        p = p + (1.0 - psi)[:, None] * agree
+        with np.errstate(divide="ignore"):
+            record_logliks = np.log(p).sum(axis=1)
+        for entity_sum, record_sum in zip(
+            entity_log_freqs.sum(axis=1).tolist(), record_logliks.tolist()
+        ):
+            out += entity_sum
+            out += record_sum
         if not self.psi_fixed:
             a, b = self.distortion.prior_a, self.distortion.prior_b
             log_beta_norm = np.array(
@@ -398,9 +528,16 @@ def _first_above(cum: np.ndarray, u: float) -> int:
 
 
 def reallocation_pass(state: ChainState, rng: np.random.Generator) -> None:
-    """Reallocate every record once, in index order."""
-    for i in range(state.n):
-        state.reallocate_record(i, rng)
+    """Reallocate every record once, in index order, run by run (see
+    ChainState.reallocate_run); every draw is reallocate_record's."""
+    i, n = 0, state.n
+    while i < n:
+        if 2 * state.n_clusters > RUN_ENTRIES:
+            # no run of two fits, as at scale: the record goes alone
+            state.reallocate_record(i, rng)
+            i += 1
+        else:
+            i = state.reallocate_run(i, rng)
 
 
 def chaperones_step(
@@ -419,30 +556,67 @@ def chaperones_step(
     record sheds its clustermates (and singletons form) when it later
     serves as a chaperone itself; full reallocation passes in the move mix
     cover every remaining transition.
+
+    Almost every update leaves its record where it is, and then the state
+    stays as it was but for member order.  So each record's two weights
+    are computed under the starting state, all inner_sweeps x |R| uniforms
+    are drawn at once, and each is compared with its record's threshold.
+    If none moves a record, each anchor's member list ends as the anchor
+    followed by its restricted records in order, as the updates would leave
+    it.  Otherwise the updates before the first moving draw are applied as
+    stays, and from it on they run one by one on the remaining uniforms.
     """
     i, j = pair_sampler.sample(rng)
     ci, cj = int(state.assign[i]), int(state.assign[j])
     if ci == cj:
         # a single shared cluster admits no restricted move
         return
-    restricted = [u for u in state.members[ci] + state.members[cj] if u != i and u != j]
+    members = state.members
+    restricted = [u for u in members[ci] + members[cj] if u != i and u != j]
     if not restricted:
         return
     # the anchors keep both clusters in their slots, and no entity or psi
     # changes within the step, so each record's likelihood against the two
     # entities holds for every inner sweep
     targets = np.array([ci, cj])
-    psi, freqs = state.distortion.psi, state.freqs
-    logliks = [
-        np.array([
-            lik.record_loglik(state.dataset.values[u], state.entities[c], psi, freqs)
-            for c in targets
-        ])
-        for u in restricted
-    ]
-    for _ in range(inner_sweeps):
-        for u, loglik in zip(restricted, logliks):
-            state.restricted_reallocate(u, targets, loglik, rng)
+    logliks = lik.record_loglik(
+        state.dataset.values[restricted][:, None], state.entities[targets],
+        state.distortion.psi, state.freqs, state.dataset.record_freqs[restricted][:, None],
+    )
+    # each record's weights with itself taken from its own cluster: side 0
+    # for the records of the first anchor's cluster
+    in_first = len(members[ci]) - 1
+    side = np.arange(len(restricted)) >= in_first
+    sizes = state.sizes.take(targets)
+    prior = np.empty((2, 2))
+    for s in (0, 1):
+        reduced = sizes.copy()
+        reduced[s] -= 1
+        prior[s] = state._factors_without(sizes.item(s))[0].take(reduced)
+    logw = prior[side.astype(np.intp)] + logliks
+    top = logw.max(axis=1)
+    if top.min() == NEG_INF:
+        # rejoining the record's own cluster always has positive density
+        raise RuntimeError("restricted move found no admissible target")
+    w = np.exp(logw - top[:, None])
+    uniforms = rng.random(inner_sweeps * len(restricted))
+    # a draw picks the first target iff its running total lies above u * total
+    first = w[:, 0] > uniforms.reshape(inner_sweeps, -1) * (w[:, 0] + w[:, 1])
+    moved = (first == side).reshape(-1)
+    if not moved.any():
+        members[ci] = [i] + restricted[:in_first]
+        members[cj] = [j] + restricted[in_first:]
+        return
+    start = int(moved.argmax())
+    sweep = restricted * inner_sweeps
+    for u in sweep[:start]:
+        # a stay moves the record to the end of its member list
+        listed = members[state.assign.item(u)]
+        listed.remove(u)
+        listed.append(u)
+    for t in range(start, len(sweep)):
+        r = t % len(restricted)
+        state.restricted_reallocate(sweep[t], targets, logliks[r], uniforms.item(t))
 
 
 # ---------------------------------------------------------------------------

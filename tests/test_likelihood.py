@@ -126,6 +126,27 @@ class TestRecordLoglik:
                 assert np.array_equal(vec, table[0, codes[:, 0]] + table[1, codes[:, 1]])
                 np.testing.assert_allclose(vec, scalar, rtol=1e-12)
 
+    @pytest.mark.parametrize(
+        "dims",
+        [(3, 5), (2, 3, 2, 4, 2, 3, 2, 2, 3, 2), (3, 5, 200), (2, 3, 2, 4, 2, 3, 2, 2, 3, 5000)],
+        ids=["one-chunk", "two-chunks", "compared", "two-chunks-compared"],
+    )
+    def test_block_equals_one_record_at_a_time(self, rng, dims):
+        freqs = [rng.dirichlet(np.ones(d)) for d in dims]
+        psi = rng.uniform(size=len(dims))
+        psi[0] = 0.0
+        values = np.column_stack([rng.integers(0, d, size=12) for d in dims])
+        entities = np.column_stack([rng.integers(0, d, size=20) for d in dims])
+        tables = pattern_tables(values, psi, freqs)
+        planes = AgreementPlanes(dims, 25)
+        planes.fill(entities)
+        rows = planes.record_rows(values)
+        for lo, hi in [(0, 12), (3, 5), (7, 8)]:
+            block = entity_logliks(values[lo:hi], entities, planes, rows[lo:hi], tables[lo:hi])
+            one = [entity_logliks(values[i], entities, planes, rows[i], tables[i])
+                   for i in range(lo, hi)]
+            assert np.array_equal(block, np.array(one))
+
     def test_vectorized_matches_scalar_with_compared_fields(self, rng):
         # a field too wide for the planes is compared against the entity column
         for dims in [(3, 5, 200), (300, 4), (2, 3, 2, 4, 2, 3, 2, 2, 3, 5000)]:
@@ -135,6 +156,38 @@ class TestRecordLoglik:
                     np.testing.assert_allclose(vec, scalar, rtol=1e-12)
                     if len(dims) <= 8:
                         assert np.array_equal(vec, scalar)
+
+
+class TestRecordLoglikBroadcast:
+    @staticmethod
+    def scalar(x, y, psi, freqs):
+        """record_loglik as a loop over one record's fields."""
+        out = 0.0
+        for f in range(len(freqs)):
+            p = psi[f] * freqs[f][x[f]]
+            if x[f] == y[f]:
+                p += 1.0 - psi[f]
+            if p <= 0.0:
+                return float("-inf")
+            out += np.log(p)
+        return float(out)
+
+    @pytest.mark.parametrize("dims", [(3, 5), (2, 3, 2, 4, 2, 3, 2, 2, 3, 2)])
+    def test_pairs_equal_the_field_loop(self, rng, dims):
+        freqs = [rng.dirichlet(np.ones(d)) for d in dims]
+        psi = rng.uniform(size=len(dims))
+        psi[0] = 0.0
+        values = np.column_stack([rng.integers(0, d, size=15) for d in dims])
+        entities = np.column_stack([rng.integers(0, d, size=4) for d in dims])
+        expected = np.array(
+            [[self.scalar(x, y, psi, freqs) for y in entities] for x in values]
+        )
+        assert np.isneginf(expected).any() and np.isfinite(expected).any()
+        x_freqs = np.column_stack([freqs[f][values[:, f]] for f in range(len(dims))])
+        for given in (None, x_freqs[:, None]):
+            got = record_loglik(values[:, None], entities, psi, freqs, given)
+            assert np.array_equal(got, expected)
+        assert record_loglik(values[2], entities[1], psi, freqs) == expected[2, 1]
 
 
 class TestAgreementPlanes:
@@ -389,6 +442,22 @@ class TestEntityDrawStream:
         assert stub.sizes == [4, 2, 1]
 
 
+class TestResampleDistortionRecordFreqs:
+    def test_given_record_freqs_draw_the_same(self, rng):
+        dims = (2, 12, 31)
+        values = np.column_stack([rng.integers(0, d, size=40) for d in dims])
+        ds = make_dataset(values, cardinalities=dims)
+        entity_rows = values.copy()
+        entity_rows[::3, 1] = (entity_rows[::3, 1] + 1) % 12
+        state = DistortionState(np.array([0.05, 0.2, 0.01]), np.ones(3), np.full(3, 9.0))
+        computed, given = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(5):
+            a = resample_distortion(values, entity_rows, ds.freqs, state, computed)
+            b = resample_distortion(values, entity_rows, ds.freqs, state, given, ds.record_freqs)
+            assert np.array_equal(a.psi, b.psi)
+        assert computed.bit_generator.state == given.bit_generator.state
+
+
 class TestResampleDistortion:
     def test_mismatch_forces_indicator(self, rng):
         # every record mismatches its entity, so every indicator is on and
@@ -483,6 +552,41 @@ class TestDrawSingletonEntity:
         )
         # flips need distortion and a different reference draw: 0.4 * 0.5
         assert abs(flips / 20_000 - 0.2) < 3 * math.sqrt(0.2 * 0.8 / 20_000)
+
+
+def scalar_singleton_entity(x, psi, freqs, rng):
+    """draw_singleton_entity as a loop of scalar draws, each distorted field
+    drawn by rng.choice."""
+    y = np.array(x, dtype=np.int64, copy=True)
+    for f in range(len(freqs)):
+        if rng.random() < psi[f]:
+            y[f] = rng.choice(len(freqs[f]), p=freqs[f])
+    return y
+
+
+class TestSingletonEntityBlockDraw:
+    DIMS = (2, 12, 31, 51, 6)
+    PSI = {
+        "0.01": np.full(5, 0.01),
+        "0.5": np.full(5, 0.5),
+        "1": np.ones(5),
+        "0": np.zeros(5),
+        "mixed": np.array([0.0, 1.0, 0.3, 0.9, 0.05]),
+    }
+
+    @pytest.mark.parametrize("psi", list(PSI), ids=list(PSI))
+    def test_equals_the_scalar_loop(self, psi):
+        data = np.random.default_rng(3)
+        values = np.column_stack([data.integers(0, d, size=50) for d in self.DIMS])
+        freqs = make_dataset(values, cardinalities=self.DIMS).freqs
+        for seed in range(200):
+            block, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            for x in values[seed % 45 : seed % 45 + 5]:
+                assert np.array_equal(
+                    draw_singleton_entity(x, self.PSI[psi], freqs, block),
+                    scalar_singleton_entity(x, self.PSI[psi], freqs, scalar),
+                )
+            assert block.bit_generator.state == scalar.bit_generator.state
 
 
 class TestConfig:

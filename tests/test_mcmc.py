@@ -94,6 +94,20 @@ class TestSimilarityWeights:
         if floor > 0:
             assert ps.sample(StubUniforms([1 - 2**-53])) == pairs[-1]
 
+    @pytest.mark.parametrize("block", [1, 5, 40, mcmc.PAIR_BLOCK_ENTRIES])
+    @pytest.mark.parametrize("floor", [0.1, 0.0])
+    def test_row_ends_equal_one_cumsum_over_every_block(self, block, floor, monkeypatch):
+        monkeypatch.setattr(mcmc, "PAIR_BLOCK_ENTRIES", block)
+        values = np.random.default_rng(7).integers(0, 3, size=(30, 4))
+        ps = PairSampler(make_dataset(values), floor=floor)
+        n = len(values)
+        weights = [floor + int((values[i] == values[j]).sum())
+                   for i in range(n) for j in range(i + 1, n)]
+        cum = np.cumsum(weights)
+        ends = cum[np.cumsum(np.arange(n - 1, 0, -1)) - 1]
+        assert np.array_equal(ps._ends, ends)
+        assert ps.total == cum[-1]
+
     def test_weight_is_floor_plus_agreements(self):
         values = np.array([[0, 1, 2], [0, 1, 2], [0, 1, 0], [2, 0, 1]])
         ps = PairSampler(make_dataset(values), floor=0.1)
@@ -334,6 +348,277 @@ class TestTableKernelDraws:
             state.resample_entities(rng)
             state.resample_distortion(rng)
             state.consistency_check()
+
+
+def partition_state(labels, prior, like_config, cardinalities=(3, 3, 3), seed=11, values=None):
+    """A chain state whose clusters are the groups of labels, built with the
+    state's own moves, then with entities and (unless pinned) psi redrawn.
+    The records are random unless values are given."""
+    rng = np.random.default_rng(seed)
+    if values is None:
+        values = rng.integers(0, 3, size=(len(labels), len(cardinalities)))
+        values[:, -1] = rng.integers(0, cardinalities[-1], size=len(labels))
+    state = ChainState(make_dataset(values, cardinalities=cardinalities), prior, like_config, rng)
+    first = {}
+    for i, label in enumerate(labels):
+        if label in first:
+            state._remove_record(i)
+            state._insert_record(i, int(state.assign[first[label]]), rng)
+        else:
+            first[label] = i
+    state.resample_entities(rng)
+    state.resample_distortion(rng)
+    state.consistency_check()
+    return state, rng
+
+
+def assert_same_chain(state, rng, ref, ref_rng):
+    """Every bit the sampler reads later: clusters, member order, entities,
+    agreement planes and the generator."""
+    k = state.n_clusters
+    assert ref.n_clusters == k
+    assert np.array_equal(state.assign, ref.assign)
+    assert state.members == ref.members
+    assert np.array_equal(state.sizes, ref.sizes)
+    assert np.array_equal(state.size_counts, ref.size_counts)
+    assert np.array_equal(state.entities[:k], ref.entities[:k])
+    assert np.array_equal(state._planes.planes, ref._planes.planes)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+N_RUN = 12
+RUN_CASES = {
+    # name: (labels, prior, likelihood config, cardinalities)
+    "singletons": (list(range(N_RUN)), small_prior(cap=4, n=N_RUN), LikelihoodConfig(), (3, 3, 3)),
+    "at-bbap-cap": ([0, 0, 0, 1, 1, 1, 2, 2, 3, 4, 4, 4], small_prior(cap=3, n=N_RUN),
+                    LikelihoodConfig(), (3, 3, 3)),
+    "epp-all-n-in-one": ([0] * N_RUN, EppParams(1.0), LikelihoodConfig(psi_fixed=0.2), (3, 3, 3)),
+    "psi-zero-field": ([0, 1, 0, 1, 2, 2, 3, 4, 3, 5, 5, 6], small_prior(cap=4, n=N_RUN),
+                       LikelihoodConfig(psi_fixed=(0.0, 0.3, 0.3)), (3, 3, 3)),
+    "two-pattern-chunks": ([0, 1, 2, 0, 1, 2, 3, 3, 4, 5, 6, 6], small_prior(cap=4, n=N_RUN),
+                           LikelihoodConfig(), (3,) * 10),
+    "field-too-wide-for-planes": ([0, 0, 1, 1, 2, 3, 3, 4, 4, 5, 6, 6],
+                                  small_prior(cap=4, n=N_RUN), LikelihoodConfig(), (3, 3, 80)),
+    **{
+        f"epp-K={k}": ([i % k for i in range(N_RUN)], EppParams(2.0), LikelihoodConfig(),
+                       (3, 3, 3))
+        for k in (1, 2, 5, N_RUN - 1, N_RUN)
+    },
+}
+
+
+class TestRunPass:
+    """reallocation_pass scores each run of non-singleton records in one
+    block; every bit of the state and the generator must end as the loop of
+    reallocate_record over the records leaves them."""
+
+    @pytest.mark.parametrize("run_entries", [mcmc.RUN_ENTRIES, 7])
+    @pytest.mark.parametrize("case", list(RUN_CASES))
+    def test_equals_the_per_record_loop(self, case, run_entries, monkeypatch):
+        labels, prior, like_config, cardinalities = RUN_CASES[case]
+        monkeypatch.setattr(mcmc, "RUN_ENTRIES", run_entries)
+        blocks = []
+        kernel = mcmc.lik.entity_logliks
+
+        def counting(x, *args):
+            blocks.append(x.ndim == 2)
+            return kernel(x, *args)
+
+        monkeypatch.setattr(mcmc.lik, "entity_logliks", counting)
+        state, rng = partition_state(labels, prior, like_config, cardinalities)
+        if case == "epp-all-n-in-one":
+            assert state.n_clusters == 1 and state.sizes[0] == state.n
+        paired = state.sizes[state.assign] > 1
+        runs_at_start = bool((paired[1:] & paired[:-1]).any())
+        ref, ref_rng = copy.deepcopy(state), copy.deepcopy(rng)
+        for _ in range(4):
+            reallocation_pass(state, rng)
+            for i in range(ref.n):
+                ref.reallocate_record(i, ref_rng)
+            assert_same_chain(state, rng, ref, ref_rng)
+            for chain, chain_rng in ((state, rng), (ref, ref_rng)):
+                chain.resample_entities(chain_rng)
+                chain.resample_distortion(chain_rng)
+        state.consistency_check()
+        if runs_at_start and run_entries > N_RUN:
+            assert any(blocks), "no run was scored as a block"
+
+    def test_long_chain_equals_the_per_record_loop(self):
+        # many passes from a random start: runs that end in moves, new
+        # clusters and singletons between them
+        rng0 = np.random.default_rng(5)
+        values = rng0.integers(0, 4, size=(40, 4))
+        ds = make_dataset(values, cardinalities=(4, 4, 4, 4))
+        for prior in (small_prior(cap=5, n=40), EppParams(3.0)):
+            rng = np.random.default_rng(9)
+            state = ChainState(ds, prior, LikelihoodConfig(), rng)
+            ref, ref_rng = copy.deepcopy(state), copy.deepcopy(rng)
+            for _ in range(30):
+                reallocation_pass(state, rng)
+                for i in range(ref.n):
+                    ref.reallocate_record(i, ref_rng)
+                assert_same_chain(state, rng, ref, ref_rng)
+                for chain, chain_rng in ((state, rng), (ref, ref_rng)):
+                    chain.resample_entities(chain_rng)
+                    chain.resample_distortion(chain_rng)
+
+
+def loop_record_loglik(x, y, psi, freqs):
+    """record_loglik as a loop over one record's fields."""
+    out = 0.0
+    for f in range(len(freqs)):
+        p = psi[f] * freqs[f][x[f]]
+        if x[f] == y[f]:
+            p += 1.0 - psi[f]
+        if p <= 0.0:
+            return float("-inf")
+        out += np.log(p)
+    return float(out)
+
+
+def sequential_chaperones_step(state, pair, rng, inner_sweeps):
+    """The chaperone step as one restricted Gibbs update after another, each
+    with its own uniform: what chaperones_step must equal."""
+    i, j = pair
+    ci, cj = int(state.assign[i]), int(state.assign[j])
+    if ci == cj:
+        return
+    restricted = [u for u in state.members[ci] + state.members[cj] if u != i and u != j]
+    if not restricted:
+        return
+    targets = np.array([ci, cj])
+    psi, freqs = state.distortion.psi, state.freqs
+    logliks = [
+        np.array([loop_record_loglik(state.dataset.values[u], state.entities[c], psi, freqs)
+                  for c in targets])
+        for u in restricted
+    ]
+    for _ in range(inner_sweeps):
+        for u, loglik in zip(restricted, logliks):
+            state._remove_record(u)
+            join, _ = priors._realloc_log_factors(state.size_counts, state.n - 1, state.prior)
+            choice = mcmc._sample_from_logw(join[state.sizes[targets]] + loglik, rng, -1)
+            if choice < 0:
+                raise RuntimeError("restricted move found no admissible target")
+            state._insert_record(u, int(targets[choice]), rng)
+
+
+class FixedPair:
+    def __init__(self, i, j):
+        self.pair = (i, j)
+
+    def sample(self, rng):
+        return self.pair
+
+
+class TestChaperoneNoOpCheck:
+    """chaperones_step settles its updates in one check when no draw moves
+    a record; the state and the generator must end as the sequential
+    restricted updates leave them."""
+
+    LABELS = [0, 0, 0, 1, 1, 2, 2, 2, 3, 4, 4, 5]
+
+    @pytest.mark.parametrize("psi, family", [(0.5, "bbap"), (0.5, "epp"), (0.02, "bbap")],
+                             ids=["forced-moves", "forced-moves-epp", "mostly-stays"])
+    def test_equals_the_sequential_updates(self, psi, family):
+        prior = small_prior(cap=5, n=len(self.LABELS)) if family == "bbap" else EppParams(1.0)
+        state, rng = partition_state(self.LABELS, prior, LikelihoodConfig(psi_fixed=psi))
+        ref, ref_rng = copy.deepcopy(state), copy.deepcopy(rng)
+        moved = stayed = 0
+        pairs = [(i, j) for i in range(state.n) for j in range(i + 1, state.n)]
+        for step, (i, j) in enumerate(pairs * 2):
+            sweeps = 1 + step % 5
+            before = state.assign.copy()
+            chaperones_step(state, FixedPair(i, j), rng, sweeps)
+            sequential_chaperones_step(ref, (i, j), ref_rng, sweeps)
+            assert_same_chain(state, rng, ref, ref_rng)
+            if state.assign[i] != state.assign[j]:
+                changed = not np.array_equal(before, state.assign)
+                moved += changed
+                stayed += not changed
+        state.consistency_check()
+        assert moved and stayed
+
+    def test_all_stay_lists_each_anchor_before_its_records(self):
+        # each cluster's records are copies of one row that no other shares
+        values = np.repeat(np.array(self.LABELS)[:, None], 3, axis=1)
+        state, rng = partition_state(self.LABELS, small_prior(cap=5, n=len(self.LABELS)),
+                                     LikelihoodConfig(psi_fixed=0.01), (6, 6, 6),
+                                     values=values)
+        # records 0..2 and 5..7 share clusters; rotate the first one's list
+        a, b = int(state.assign[1]), int(state.assign[6])
+        state.members[a] = [1, 2, 0]
+        ref, ref_rng = copy.deepcopy(state), copy.deepcopy(rng)
+        chaperones_step(state, FixedPair(1, 6), rng, 3)
+        sequential_chaperones_step(ref, (1, 6), ref_rng, 3)
+        assert np.array_equal(state.assign, ref.assign)
+        assert state.members[a] == [1, 2, 0] and state.members[b] == [6, 5, 7]
+        assert_same_chain(state, rng, ref, ref_rng)
+
+    def test_no_admissible_target_raises(self):
+        # psi 0 in every field: record 1 disagrees with both entities
+        values = np.array([[0, 0], [1, 0], [2, 0], [3, 0]])
+        rng = np.random.default_rng(0)
+        state = ChainState(make_dataset(values, cardinalities=(4, 2)), EppParams(1.0),
+                           LikelihoodConfig(psi_fixed=0.0), rng)
+        state._remove_record(1)
+        state._insert_record(1, int(state.assign[0]), rng)
+        ref = copy.deepcopy(state)
+        with pytest.raises(RuntimeError, match="no admissible target"):
+            sequential_chaperones_step(ref, (0, 2), copy.deepcopy(rng), 2)
+        with pytest.raises(RuntimeError, match="no admissible target"):
+            chaperones_step(state, FixedPair(0, 2), rng, 2)
+
+
+def loop_log_joint(state):
+    """log_joint with one pass over the records per field."""
+    n, k = state.n, state.n_clusters
+    out = priors.log_allelic_counts(state.size_counts, n, state.prior)
+    out -= math.lgamma(n + 1)
+    for s in np.flatnonzero(state.size_counts[1 : state.cap + 1]) + 1:
+        c = int(state.size_counts[s])
+        out += c * math.lgamma(s + 1) + math.lgamma(c + 1)
+    entity_rows = state.entities[state.assign]
+    psi, values = state.distortion.psi, state.dataset.values
+    for f in range(state.dataset.n_fields):
+        out += float(np.log(state.freqs[f])[state.entities[:k, f]].sum())
+        p = psi[f] * state.freqs[f][values[:, f]]
+        p = p + (1.0 - psi[f]) * (values[:, f] == entity_rows[:, f])
+        with np.errstate(divide="ignore"):
+            out += float(np.log(p).sum())
+    if not state.psi_fixed:
+        a, b = state.distortion.prior_a, state.distortion.prior_b
+        log_beta_norm = np.array(
+            [math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y) for x, y in zip(a, b)]
+        )
+        out += float(np.sum((a - 1) * np.log(psi) + (b - 1) * np.log1p(-psi) - log_beta_norm))
+    return out
+
+
+class TestLogJoint:
+    @pytest.mark.parametrize("case", ["at-bbap-cap", "psi-zero-field", "two-pattern-chunks",
+                                      "epp-all-n-in-one", "epp-K=5"])
+    def test_equals_the_field_loop(self, case):
+        labels, prior, like_config, cardinalities = RUN_CASES[case]
+        state, rng = partition_state(labels, prior, like_config, cardinalities)
+        for _ in range(5):
+            got, expected = state.log_joint(), loop_log_joint(state)
+            assert got == expected or (math.isnan(got) and math.isnan(expected))
+            reallocation_pass(state, rng)
+            state.resample_entities(rng)
+            state.resample_distortion(rng)
+
+    def test_equals_the_field_loop_at_scale(self):
+        rng = np.random.default_rng(12)
+        dims = (2, 12, 31, 51, 6)
+        values = np.column_stack([rng.integers(0, d, size=400) for d in dims])
+        state = ChainState(make_dataset(values, cardinalities=dims), EppParams(150.0),
+                           LikelihoodConfig(), rng)
+        for _ in range(3):
+            reallocation_pass(state, rng)
+            state.resample_entities(rng)
+            state.resample_distortion(rng)
+            assert state.log_joint() == loop_log_joint(state)
 
 
 class TestMemory:
