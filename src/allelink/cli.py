@@ -137,11 +137,10 @@ def _cmd_run(cfg: RunConfig, rundir: _RunDir) -> None:
 def _load_snapshots(cfg: RunConfig) -> np.ndarray:
     """The last samples_used snapshots by iteration, then chain, as one
     (S, n) label matrix."""
-    chains, iters, labels = mcmc.read_snapshots_csv(
-        os.path.join(cfg.output_dir, "xi_snapshots.csv"))
-    take = min(cfg.estimation.samples_used, len(labels))
+    rows = mcmc.read_snapshots_csv(os.path.join(cfg.output_dir, "xi_snapshots.csv"))
+    take = min(cfg.estimation.samples_used, len(rows))
     # stable, so rows with the same iteration and chain keep their file order
-    return labels[np.lexsort((chains, iters))[-take:]]
+    return rows[np.lexsort((rows[:, 0], rows[:, 1]))[-take:], 2:]
 
 
 # the nid search takes longest and binder's least: started first, the long
@@ -197,10 +196,8 @@ def _cmd_evaluate(cfg: RunConfig, rundir: _RunDir) -> None:
     if os.path.exists(trace_path):
         trace = mcmc.read_trace_jsonl(trace_path, truth.n)
         if "fnr" not in trace.rows[0]:
-            # the reader checked each row's canonical form; fnr_fdr takes label lists
-            chains, iters, labels = mcmc.read_snapshots_csv(
+            trace.snapshots = mcmc.read_snapshots_csv(
                 os.path.join(cfg.output_dir, "xi_snapshots.csv"), truth.n)
-            trace.snapshots = list(zip(chains.tolist(), iters.tolist(), labels.tolist()))
         reports.append(evaluation.posterior_report(trace, truth).to_dict())
     for loss in cfg.estimation.losses:
         estimate = _read_estimate(cfg, loss, truth.n)

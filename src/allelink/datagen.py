@@ -208,11 +208,5 @@ def load_records_csv(path) -> tuple[np.ndarray, tuple[str, ...], LinkageStructur
         if truth_idx is not None:
             truth_raw.append(row[truth_idx])
     names = tuple(header[c] for c in field_cols)
-    truth = None
-    if truth_idx is not None:
-        book: dict[str, int] = {}
-        for v in truth_raw:
-            if v not in book:
-                book[v] = len(book) + 1
-        truth = canonicalize([book[v] for v in truth_raw])
+    truth = canonicalize(truth_raw) if truth_idx is not None else None
     return values, names, truth

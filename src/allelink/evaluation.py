@@ -84,8 +84,8 @@ def posterior_report(trace: PosteriorTrace, truth: LinkageStructure) -> MetricsR
     if "fnr" in rows[0]:
         fnr = float(np.mean([row["fnr"] for row in rows]))
         fdr = float(np.mean([row["fdr"] for row in rows]))
-    elif trace.snapshots:
-        rates = [fnr_fdr(xi, truth) for _, _, xi in trace.snapshots]
+    elif len(trace.snapshots):
+        rates = [fnr_fdr(labels, truth) for labels in trace.snapshots[:, 2:]]
         fnr = float(np.mean([r[0] for r in rates]))
         fdr = float(np.mean([r[1] for r in rates]))
     else:

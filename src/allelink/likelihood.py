@@ -187,8 +187,9 @@ def record_loglik(
     return float(out) if out.ndim == 0 else out
 
 
-def pattern_tables(values: np.ndarray, psi: np.ndarray, freqs: list[np.ndarray]) -> np.ndarray:
-    """Log likelihood of every record under every agree/disagree pattern.
+def pattern_tables(record_freqs: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Log likelihood of every record under every agree/disagree pattern,
+    from the records' reference frequencies (Dataset.record_freqs).
 
     Under the distortion model a field contributes log(psi theta_x + 1 - psi)
     when the entity agrees with the record and log(psi theta_x) when it does
@@ -198,10 +199,10 @@ def pattern_tables(values: np.ndarray, psi: np.ndarray, freqs: list[np.ndarray])
     chunk (F <= PATTERN_CHUNK_FIELDS) therefore holds record_loglik's value
     bit for bit.
     """
-    n, n_fields = values.shape
+    n, n_fields = record_freqs.shape
     n_chunks = -(-n_fields // PATTERN_CHUNK_FIELDS)
     bits = np.arange(1 << min(n_fields, PATTERN_CHUNK_FIELDS))
-    scaled = psi[None, :] * _record_freqs(values, freqs)
+    scaled = psi[None, :] * record_freqs
     with np.errstate(divide="ignore"):
         miss = np.log(scaled)
         hit = np.log(scaled + (1.0 - psi)[None, :])

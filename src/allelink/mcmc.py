@@ -24,7 +24,7 @@ from . import likelihood as lik
 from . import parallel, priors
 from .datagen import DataError
 from .likelihood import Dataset, DistortionState, LikelihoodConfig
-from .partitions import LinkageStructure, canonical_rows, canonicalize, fnr_fdr
+from .partitions import LinkageStructure, canonical_labels, canonical_rows, fnr_fdr
 from .priors import BbapParams, PriorParams
 
 NEG_INF = float("-inf")
@@ -33,8 +33,6 @@ _NEW = -1
 FACTOR_CACHE_ENTRIES = 100_000
 # (records x clusters) entries a full pass scores in one block: 16 KB of doubles
 RUN_ENTRIES = 2048
-# pair weights the pair proposal's build holds at once
-PAIR_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -80,11 +78,13 @@ class PosteriorTrace:
 
     A row is the object trace.jsonl stores: iter, chain, K, r (the counts
     of clusters of each size from 1), psi and logJoint, and fnr and fdr
-    when the run had a truth to score against.
+    when the run had a truth to score against.  A snapshot is the row
+    xi_snapshots.csv stores: chain, iteration, then the canonical labels of
+    the n records, one int32 row of the (S, n + 2) snapshots matrix.
     """
 
     rows: list[dict] = field(default_factory=list)
-    snapshots: list[tuple[int, int, LinkageStructure]] = field(default_factory=list)
+    snapshots: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=np.int32))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -97,10 +97,8 @@ class PairSampler:
     are proposed often while every pair keeps positive probability
     whenever the floor is positive.  Only the running total of the pair
     weights at the end of each row i, over the pairs (i, j > i) in row
-    order, is kept: a draw recomputes the one row it lands in.  The build
-    takes rows in blocks of about PAIR_BLOCK_ENTRIES pairs, one cumsum
-    each, continuing the previous block's total, so every end rounds as in
-    a single cumsum over all pairs.
+    order, is kept: the build computes the rows in order and a draw
+    recomputes the one row it lands in, each with _row_cum.
     """
 
     def __init__(self, dataset: Dataset, floor: float = 0.1):
@@ -110,24 +108,9 @@ class PairSampler:
         # field-major, so that a row's agreement counts add F contiguous rows
         self._values_t, self._floor = np.ascontiguousarray(dataset.values.T), floor
         self._ends = np.empty(n - 1)
-        total, i = 0.0, 0
-        while i < n - 1:
-            # rows i..j-1, where row r holds the n - 1 - r pairs (r, r' > r)
-            j, pairs = i + 1, n - 1 - i
-            while j < n - 1 and pairs + n - 1 - j <= PAIR_BLOCK_ENTRIES:
-                pairs += n - 1 - j
-                j += 1
-            cum = np.cumsum(np.concatenate(([total], self._block_weights(i, j))))[1:]
-            self._ends[i:j] = cum[np.cumsum(np.arange(n - 1 - i, n - 1 - j, -1)) - 1]
-            total, i = cum[-1], j
+        for i in range(n - 1):
+            self._ends[i] = self._row_cum(i)[-1]
         self.total = float(self._ends[-1])
-
-    def _block_weights(self, i: int, j: int) -> np.ndarray:
-        """The pair weights of rows i..j-1 in row order."""
-        agree = (self._values_t[:, i:j, None] == self._values_t[:, None, i + 1:]).sum(axis=0)
-        # row i + r pairs with the records above it: its columns from r on
-        above = np.arange(agree.shape[1]) >= np.arange(j - i)[:, None]
-        return self._floor + agree[above]
 
     def _row_cum(self, i: int) -> np.ndarray:
         """Row i's running totals, led by row i - 1's end so that each one
@@ -217,8 +200,9 @@ class ChainState:
     def n(self) -> int:
         return self.dataset.n
 
-    def linkage(self) -> LinkageStructure:
-        return canonicalize(self.assign)
+    def linkage(self) -> np.ndarray:
+        """The canonical labels of the current partition, as int32."""
+        return canonical_labels(self.assign)
 
     def max_cluster_size(self) -> int:
         return int(self.sizes[: self.n_clusters].max()) if self.n_clusters else 0
@@ -291,9 +275,7 @@ class ChainState:
 
     def _pattern_tables(self) -> np.ndarray:
         if self._tables_for is not self.distortion:
-            self._tables = lik.pattern_tables(
-                self.dataset.values, self.distortion.psi, self.freqs
-            )
+            self._tables = lik.pattern_tables(self.dataset.record_freqs, self.distortion.psi)
             self._tables_for = self.distortion
         return self._tables
 
@@ -657,11 +639,11 @@ def run_chain(
             seeds[chain_id], chain_id, checkpoint,
         )
 
-    trace = PosteriorTrace()
-    for part in parallel.run_tasks(one_chain, config.chains, "chain"):
-        trace.rows += part.rows
-        trace.snapshots += part.snapshots
-    return trace
+    parts = parallel.run_tasks(one_chain, config.chains, "chain")
+    return PosteriorTrace(
+        [row for part in parts for row in part.rows],
+        np.concatenate([part.snapshots for part in parts]),
+    )
 
 
 def _run_one_chain(
@@ -680,7 +662,7 @@ def _run_one_chain(
     each_sweep, if given, is called with no arguments before every sweep.
     """
     bounded = isinstance(prior, BbapParams)
-    trace = PosteriorTrace()
+    rows, snapshots = [], []
     rng = np.random.default_rng(seed)
     state = ChainState(dataset, prior, like_config, rng)
     truth_labels = None if truth is None else np.array(truth.assignments)
@@ -714,11 +696,11 @@ def _run_one_chain(
         }
         if truth is not None:
             row["fnr"], row["fdr"] = fnr_fdr(state.assign, truth_labels)
-        trace.rows.append(row)
+        rows.append(row)
         if kept % config.snapshot_stride == 0:
-            trace.snapshots.append((chain_id, it, state.linkage()))
+            snapshots.append(np.concatenate(([chain_id, it], state.linkage()), dtype=np.int32))
         kept += 1
-    return trace
+    return PosteriorTrace(rows, np.stack(snapshots))
 
 
 # ---------------------------------------------------------------------------
@@ -801,13 +783,14 @@ def read_trace_jsonl(path, n: int | None = None) -> PosteriorTrace:
 def write_snapshots_csv(trace: PosteriorTrace, path) -> None:
     """Integer rows: chain, iteration, then the canonical assignment vector."""
     with open(path, "w") as fh:
-        for chain_id, it, xi in trace.snapshots:
-            fh.write(",".join(map(str, (chain_id, it) + xi.assignments)) + "\n")
+        for row in trace.snapshots.tolist():
+            fh.write(",".join(map(str, row)) + "\n")
 
 
-def read_snapshots_csv(path, n: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows written by write_snapshots_csv: the chain and iteration columns
-    (int64) and the (S, n) int32 matrix of canonical assignment rows.
+def read_snapshots_csv(path, n: int | None = None) -> np.ndarray:
+    """Rows written by write_snapshots_csv, as PosteriorTrace.snapshots
+    holds them: one (S, n + 2) int32 matrix of chain, iteration and the
+    canonical assignment row.
 
     The file is parsed in one call and its label rows checked for
     canonical form all at once; only if that fails is it read again line
@@ -840,21 +823,21 @@ def read_snapshots_csv(path, n: int | None = None) -> tuple[np.ndarray, np.ndarr
         rows = _read_snapshot_lines(path, text)
     if n is not None and rows.shape[1] - 2 != n:
         raise DataError(f"snapshot file '{path}': {rows.shape[1] - 2} records, expected {n}")
-    chains, iters = rows[:, :2].T.astype(np.int64)
-    return chains, iters, rows[:, 2:].astype(np.int32)
+    return rows
 
 
 def _read_snapshot_lines(path, text: str) -> np.ndarray:
     """The snapshot rows parsed one line at a time; the first malformed
-    row raises DataError naming its line."""
+    row, or one with a value outside int32, raises DataError naming its
+    line."""
     out = []
     for line_no, line in enumerate(io.StringIO(text), 1):
         try:
-            parts = [int(v) for v in line.strip().split(",")]
-            xi = LinkageStructure(tuple(parts[2:]))
+            parts = np.array([int(v) for v in line.strip().split(",")], dtype=np.int32)
+            xi = LinkageStructure(parts[2:])
             if out and xi.n != len(out[0]) - 2:
                 raise ValueError(f"{xi.n} records, expected {len(out[0]) - 2}")
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise DataError(f"snapshot file '{path}' line {line_no}: {exc}") from exc
         out.append(parts)
-    return np.array(out, dtype=np.int64)
+    return np.array(out)

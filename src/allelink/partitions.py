@@ -135,18 +135,21 @@ class AllelicPartition:
         return AllelicPartition(self.counts + (0,) * (cap - self.cap))
 
 
-def canonicalize(assignments: Sequence[int]) -> LinkageStructure:
-    """Relabel raw cluster ids to 1..K in first-appearance order."""
-    if len(assignments) == 0:
+def canonical_labels(assignments: Sequence) -> np.ndarray:
+    """Raw cluster ids (any sortable values) relabelled 1..K in
+    first-appearance order, as an int32 array."""
+    ids = np.asarray(assignments)
+    if ids.size == 0:
         raise ValueError("cannot canonicalize an empty assignment sequence")
-    relabel: dict = {}
-    out = []
-    for a in assignments:
-        key = int(a)
-        if key not in relabel:
-            relabel[key] = len(relabel) + 1
-        out.append(relabel[key])
-    return LinkageStructure(tuple(out))
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int32)
+    rank[np.argsort(first)] = np.arange(1, len(first) + 1)
+    return rank[inverse]
+
+
+def canonicalize(assignments: Sequence) -> LinkageStructure:
+    """Relabel raw cluster ids to 1..K in first-appearance order."""
+    return LinkageStructure(tuple(canonical_labels(assignments).tolist()))
 
 
 def to_allelic(xi: LinkageStructure, cap: int | None = None) -> AllelicPartition:

@@ -136,7 +136,7 @@ def test_criterion_5_sampler_exactness(move_mix, label):
         move_mix=move_mix, snapshot_stride=1, check_every=10_000,
     )
     trace = run_chain(config, dataset, prior, LikelihoodConfig(psi_fixed=0.05))
-    counts = Counter(xi.assignments for _, _, xi in trace.snapshots)
+    counts = Counter(map(tuple, trace.snapshots[:, 2:].tolist()))
     total = sum(counts.values())
     empirical = {k: v / total for k, v in counts.items()}
     tv = tv_distance(empirical, exact)
@@ -185,7 +185,7 @@ def _merge_deltas(estimate, samples, kind):
     """
     n = estimate.n
     est = np.array(estimate.assignments) - 1
-    smat = np.array([xi.assignments for xi in samples])
+    smat = np.asarray(samples)
     shared = np.zeros((n, n), dtype=bool)
     for labels in smat:
         shared |= labels[:, None] == labels[None, :]
@@ -212,8 +212,8 @@ def test_criterion_7a_vi_below_binder_on_scenario2(scenario2_run):
     # tie apart from a search failure.  The strict ordering is tested where
     # it holds, at five percent, by the supplementary test below.
     trace, _ = scenario2_run
-    snapshots = sorted(trace.snapshots, key=lambda rec: (rec[1], rec[0]))
-    samples = [xi for _, _, xi in snapshots[-2000:]]
+    snapshots = trace.snapshots[np.lexsort((trace.snapshots[:, 0], trace.snapshots[:, 1]))]
+    samples = snapshots[-2000:, 2:]
     assert len(samples) == 2000
     est_binder = greedy_epl(samples, "binder", GreedyConfig(seed=0))
     est_vi = greedy_epl(samples, "vi", GreedyConfig(seed=0))
@@ -287,7 +287,7 @@ def test_supplementary_vi_ordering_at_higher_distortion():
         check_every=2_000, snapshot_stride=5,
     )
     trace = run_chain(config, dataset, prior, LikelihoodConfig(), truth)
-    samples = [xi for _, _, xi in trace.snapshots][-1000:]
+    samples = trace.snapshots[-1000:, 2:]
     est_binder = greedy_epl(samples, "binder", GreedyConfig(seed=0))
     est_vi = greedy_epl(samples, "vi", GreedyConfig(seed=0))
     assert est_vi.n_clusters < est_binder.n_clusters

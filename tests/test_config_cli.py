@@ -9,6 +9,7 @@ from allelink import config, datagen, mcmc
 from allelink.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, _config_hash, main
 from allelink.config import COMMANDS, ConfigError, EstimationConfig, parse_config
 from allelink.likelihood import LikelihoodConfig
+from allelink.partitions import LinkageStructure, matched_pairs
 
 NAN, INF = float("nan"), float("inf")
 
@@ -681,6 +682,32 @@ class TestPipeline:
         for command, name in outputs.items():
             assert main([command, "--config", config_path]) == EXIT_OK
             assert (out / name).read_bytes() == before[name]
+
+    def test_rates_without_trace_rates_are_snapshot_means(self, tmp_path):
+        # with no rates in the trace, evaluate scores every snapshot row
+        body = pipeline_config(tmp_path, scenario={"id": 2, "clusters": 30, "psi": 0.05,
+                                                   "seed": 5})
+        body["sampler"] = {"iterations": 60, "burn_in": 15, "chains": 2,
+                           "snapshot_stride": 3, "check_every": 20}
+        config_path = write_config(tmp_path, body)
+        out = tmp_path / "out"
+        assert main(["run", "--config", config_path]) == EXIT_OK
+        rows = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+        for row in rows:
+            del row["fnr"], row["fdr"]
+        (out / "trace.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert main(["evaluate", "--config", config_path]) == EXIT_OK
+        (report,) = json.loads((out / "metrics.json").read_text())["reports"]
+        assert report["source"] == "posterior-average"
+        actual = matched_pairs(datagen.simulate(parse_config(config_path, "evaluate").scenario)[1])
+        fnrs, fdrs = [], []
+        for line in (out / "xi_snapshots.csv").read_text().splitlines():
+            declared = matched_pairs(LinkageStructure([int(v) for v in line.split(",")[2:]]))
+            fnrs.append(len(actual - declared) / len(actual))
+            fdrs.append(len(declared - actual) / len(declared) if declared else 0.0)
+        assert len(fnrs) == 2 * 15 and 0 < min(fnrs) and 0 < max(fdrs)
+        assert report["fnr"] == pytest.approx(sum(fnrs) / len(fnrs), rel=1e-12, abs=1e-15)
+        assert report["fdr"] == pytest.approx(sum(fdrs) / len(fdrs), rel=1e-12, abs=1e-15)
 
     def test_summarize_needs_no_snapshots(self, tmp_path):
         config_path, n = write_trace_without_rates(tmp_path)

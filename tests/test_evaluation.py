@@ -151,10 +151,7 @@ class TestSummarizeTrace:
     def test_rates_from_snapshots_when_not_recorded(self):
         truth = LinkageStructure((1, 1, 2, 3))
         trace = toy_trace([(2, 1)] * 4)
-        trace.snapshots = [
-            (0, 0, LinkageStructure((1, 1, 2, 3))),
-            (0, 2, LinkageStructure((1, 2, 3, 4))),
-        ]
+        trace.snapshots = np.array([[0, 0, 1, 1, 2, 3], [0, 2, 1, 2, 3, 4]], dtype=np.int32)
         assert posterior_report(trace, truth).fnr == pytest.approx(0.5)
 
     def test_empty_trace_rejected(self):

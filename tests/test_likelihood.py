@@ -97,7 +97,7 @@ class TestRecordLoglik:
         psi[pinned == 1] = 1.0
         values = np.column_stack([rng.integers(0, d, size=n_records) for d in dims])
         entities = np.column_stack([rng.integers(0, d, size=n_entities) for d in dims])
-        tables = pattern_tables(values, psi, freqs)
+        tables = pattern_tables(likelihood._record_freqs(values, freqs), psi)
         planes = AgreementPlanes(dims, n_entities)
         planes.fill(entities)
         for x, rows, table in zip(values, planes.record_rows(values), tables):
@@ -137,7 +137,7 @@ class TestRecordLoglik:
         psi[0] = 0.0
         values = np.column_stack([rng.integers(0, d, size=12) for d in dims])
         entities = np.column_stack([rng.integers(0, d, size=20) for d in dims])
-        tables = pattern_tables(values, psi, freqs)
+        tables = pattern_tables(likelihood._record_freqs(values, freqs), psi)
         planes = AgreementPlanes(dims, 25)
         planes.fill(entities)
         rows = planes.record_rows(values)

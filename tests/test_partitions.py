@@ -9,6 +9,7 @@ from allelink.partitions import (
     CapViolationError,
     LinkageStructure,
     allelic_class_size,
+    canonical_labels,
     canonicalize,
     contingency,
     enumerate_partitions,
@@ -20,6 +21,43 @@ from allelink.partitions import (
 )
 
 from conftest import bell_number, independent_partitions
+
+
+def dict_relabel(ids):
+    """The reference relabel: each new id gets the next label from 1."""
+    relabel = {}
+    return [relabel.setdefault(a, len(relabel) + 1) for a in ids]
+
+
+class TestCanonicalLabels:
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            [7],
+            ["x"],
+            [-3, 5, -3, 0, 5, -1],
+            [900, 12, 900, 12, 40],
+            ["b", "a", "b", "10", "1", "a"],
+        ],
+        ids=["one-record", "one-string", "negative", "above-n", "strings"],
+    )
+    def test_equals_dict_relabel(self, ids):
+        labels = canonical_labels(ids)
+        assert labels.dtype == np.int32
+        assert labels.tolist() == dict_relabel(ids)
+        assert canonicalize(ids).assignments == tuple(dict_relabel(ids))
+
+    def test_equals_dict_relabel_on_random_ids(self, rng):
+        for _ in range(100):
+            n = int(rng.integers(1, 40))
+            ids = rng.integers(-50, 3 * n, size=n)
+            assert canonical_labels(ids).tolist() == dict_relabel(ids.tolist())
+            assert canonicalize(ids).assignments == tuple(dict_relabel(ids.tolist()))
+
+    @pytest.mark.parametrize("empty", [(), [], np.array([], dtype=np.int64)])
+    def test_empty_rejected(self, empty):
+        with pytest.raises(ValueError, match="empty"):
+            canonical_labels(empty)
 
 
 class TestCanonicalize:
