@@ -1,13 +1,16 @@
 """Print a sha256 digest of every file the CLI pipeline writes.
 
 Runs simulate, calibrate, sample-prior, run, estimate, evaluate and
-summarize through `allelink.cli.main` for five configs (the criterion-9
+summarize through `allelink.cli.main` for six configs (the criterion-9
 acceptance config with the binder, vi and nid losses; the same under the
 EPP prior; the same with every sweep a full reallocation pass; the same
 with every `likelihood`, `sampler` and `estimation` key set away from its
 default; the same with the first field's distortion pinned at 0, so that
-every entity update meets rows with an infinite logit).  `calibrate`
-applies to the bbap prior only, so the EPP config skips it.
+every entity update meets rows with an infinite logit; the EPP config on
+ten fields, the last with 4,000 values, so that the record likelihoods
+take two pattern chunks and one field is compared, not given agreement
+planes).  `calibrate` applies to the bbap prior only, so the EPP configs
+skip it.
 The commands of one config share one output directory, and after each
 command every file in it is hashed.  Two checkouts whose printed digests
 match wrote byte-identical outputs.  The manifests record the output
@@ -62,8 +65,10 @@ def configs() -> dict[str, dict]:
                                "sweeps": 25, "max_clusters": 24}
     psi_zero = copy.deepcopy(BASE)
     psi_zero["likelihood"] = {"psi_fixed": [0.0, 0.02, 0.02, 0.02, 0.02]}
+    epp_wide = copy.deepcopy(epp)
+    epp_wide["scenario"]["cardinalities"] = [2, 12, 31, 51, 6, 3, 3, 3, 3, 4000]
     return {"bbap": BASE, "epp": epp, "move_mix0": full_pass, "every_key": every_key,
-            "psi_zero": psi_zero}
+            "psi_zero": psi_zero, "epp_wide": epp_wide}
 
 
 def digests(directory: str) -> list[tuple[str, str]]:

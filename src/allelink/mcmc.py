@@ -299,7 +299,7 @@ class ChainState:
                 out=logw[:k],
             )
         logw[k] = new + self._new_logliks[i]
-        choice = _sample_from_logw(logw, rng, new_index=k)
+        choice = _sample_from_logw(logw, rng)
         self._insert_record(i, _NEW if choice == k else choice, rng)
 
     def reallocate_run(self, i: int, rng: np.random.Generator) -> int:
@@ -315,6 +315,10 @@ class ChainState:
         one smaller, and drawn in order with one uniform each; the first
         record that moves or opens a cluster is applied and ends the run.
         A singleton, or a run of one, takes reallocate_record.
+
+        Runs are an EPP path: the EPP factor row depends on n alone, so one
+        row serves every record of a run, while a bbap row depends on the
+        size counts each removal leaves.
         """
         assign, sizes = self.assign, self.sizes
         k = self.n_clusters
@@ -326,44 +330,23 @@ class ChainState:
             self.reallocate_record(i, rng)
             return i + 1
         own = assign[i:j]
-        own_sizes = sizes.take(own)
-        size_list = own_sizes.tolist()
-        # bbap factors depend on the counts each removal leaves, EPP ones on n alone
-        factors = {
-            s: self._factors_without(s) for s in (set(size_list) if self._bounded else size_list[:1])
-        }
-        if len(factors) == 1:
-            ((join, new),) = factors.values()
-            at = join.take(sizes[:k], mode="clip")
-            own_at = join.take(own_sizes - 1)
-        else:
-            # each record reads the factor row of its own cluster's size
-            distinct = list(factors)
-            picked = [distinct.index(s) for s in size_list]
-            joins = np.array([factors[s][0] for s in distinct])
-            at = joins.take(sizes[:k], axis=1, mode="clip")[picked]
-            own_at = joins[picked, own_sizes - 1]
-            new = [factors[s][1] for s in size_list]
+        # EPP factors depend on n alone: the first record's row is every record's
+        join, new = self._factors_without(sizes.item(assign.item(i)))
         scores = lik.entity_logliks(
             self.dataset.values[i:j], self.entities[:k], self._planes,
             self._plane_rows[i:j], self._pattern_tables()[i:j],
         )
         # every cluster at its size, then each record's own cluster one
-        # smaller; an EPP row has n entries, so a cluster of all n records
+        # smaller; the row has n entries, so a cluster of all n records
         # lies past its end (clipped) until its entry is replaced
         logw = np.empty((j - i, k + 1))
-        np.add(at, scores, out=logw[:, :k])
+        np.add(join.take(sizes[:k], mode="clip"), scores, out=logw[:, :k])
         rows = np.arange(j - i)
-        logw[rows, own] = own_at + scores[rows, own]
+        logw[rows, own] = join.take(sizes.take(own) - 1) + scores[rows, own]
         np.add(new, self._new_logliks[i:j], out=logw[:, k])
+        # a new cluster's weight is positive, so every row's top is finite
         top = np.maximum.reduce(logw, axis=1, keepdims=True)
-        stop = j - i
-        if NEG_INF in top.ravel().tolist():
-            # a record with no admissible cluster opens one without a draw, as
-            # reallocate_record does: the run stops before it
-            stop = int(np.argmax(top == NEG_INF))
-        cum = logw[:stop]
-        np.subtract(cum, top[:stop], out=cum)
+        cum = np.subtract(logw, top, out=logw)
         np.exp(cum, out=cum)
         np.add.accumulate(cum, axis=1, out=cum)
         members = self.members
@@ -378,9 +361,6 @@ class ChainState:
             self._remove_record(i + r)
             self._insert_record(i + r, _NEW if choice >= k else choice, rng)
             return i + r + 1
-        if stop < j - i:
-            self.reallocate_record(i + stop, rng)
-            return i + stop + 1
         return j
 
     def restricted_reallocate(
@@ -488,14 +468,12 @@ class ChainState:
             raise RuntimeError("log joint is NaN")
 
 
-def _sample_from_logw(logw: np.ndarray, rng: np.random.Generator, new_index: int) -> int:
-    """Index drawn with probability proportional to exp(logw); new_index,
-    with no draw, when every weight is zero."""
+def _sample_from_logw(logw: np.ndarray, rng: np.random.Generator) -> int:
+    """Index drawn with probability proportional to exp(logw).  Some weight
+    must be positive: in a reallocation, a new cluster's always is."""
     # ndarray methods and ufuncs: numpy's function wrappers cost more than
     # the arithmetic at a few hundred weights
     top = np.maximum.reduce(logw)
-    if top == NEG_INF:
-        return new_index
     cum = np.exp(logw - top).cumsum()
     return _first_above(cum, rng.random() * cum[-1])
 
@@ -510,12 +488,14 @@ def _first_above(cum: np.ndarray, u: float) -> int:
 
 
 def reallocation_pass(state: ChainState, rng: np.random.Generator) -> None:
-    """Reallocate every record once, in index order, run by run (see
-    ChainState.reallocate_run); every draw is reallocate_record's."""
+    """Reallocate every record once, in index order; every draw is
+    reallocate_record's.  An EPP pass goes run by run (see
+    ChainState.reallocate_run); a bbap pass goes record by record, because
+    its factor row depends on the size counts each removal leaves."""
     i, n = 0, state.n
     while i < n:
-        if 2 * state.n_clusters > RUN_ENTRIES:
-            # no run of two fits, as at scale: the record goes alone
+        if state._bounded or 2 * state.n_clusters > RUN_ENTRIES:
+            # a bbap chain, or no run of two fits: the record goes alone
             state.reallocate_record(i, rng)
             i += 1
         else:

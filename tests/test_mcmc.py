@@ -289,7 +289,7 @@ def scalar_reallocation_choice(state, i, rng):
             x, ref.entities[c], ref.distortion.psi, ref.freqs
         )
     logw[k] = new + new_cluster_marginal_loglik(x, ref.freqs)
-    return mcmc._sample_from_logw(logw, copy.deepcopy(rng), new_index=k)
+    return mcmc._sample_from_logw(logw, copy.deepcopy(rng))
 
 
 class TestTableKernelDraws:
@@ -403,12 +403,19 @@ RUN_CASES = {
         for k in (1, 2, 5, N_RUN - 1, N_RUN)
     },
 }
+# under EPP, so that the block kernel meets a psi = 0 field, two pattern
+# chunks and a compared field (epp-K=12 is the all-singleton twin)
+RUN_CASES.update({
+    f"epp-{name}": (RUN_CASES[name][0], EppParams(1.0), *RUN_CASES[name][2:])
+    for name in ("psi-zero-field", "two-pattern-chunks", "field-too-wide-for-planes")
+})
 
 
 class TestRunPass:
-    """reallocation_pass scores each run of non-singleton records in one
-    block; every bit of the state and the generator must end as the loop of
-    reallocate_record over the records leaves them."""
+    """reallocation_pass must end every bit of the state and the generator
+    as the loop of reallocate_record over the records leaves them.  An EPP
+    pass scores each run of non-singleton records in one block; a bbap pass
+    goes record by record and scores none."""
 
     @pytest.mark.parametrize("run_entries", [mcmc.RUN_ENTRIES, 7])
     @pytest.mark.parametrize("case", list(RUN_CASES))
@@ -438,7 +445,9 @@ class TestRunPass:
                 chain.resample_entities(chain_rng)
                 chain.resample_distortion(chain_rng)
         state.consistency_check()
-        if runs_at_start and run_entries > N_RUN:
+        if isinstance(prior, BbapParams):
+            assert not any(blocks), "a bbap pass scored a block"
+        elif runs_at_start and run_entries > N_RUN:
             assert any(blocks), "no run was scored as a block"
 
     def test_long_chain_equals_the_per_record_loop(self):
@@ -459,6 +468,42 @@ class TestRunPass:
                 for chain, chain_rng in ((state, rng), (ref, ref_rng)):
                     chain.resample_entities(chain_rng)
                     chain.resample_distortion(chain_rng)
+
+
+def new_cluster_logw(state, i):
+    """A new cluster's log weight for record i once it leaves the state,
+    computed on a copy."""
+    ref = copy.deepcopy(state)
+    ref._remove_record(i)
+    _, new = ref._prior_factors()
+    return new + ref._new_logliks[i]
+
+
+class TestNewClusterWeight:
+    """A new cluster's log weight is finite after any record's removal, so
+    every reallocation has a positive weight to draw."""
+
+    @pytest.mark.parametrize("case", list(RUN_CASES))
+    def test_finite_for_every_record(self, case):
+        labels, prior, like_config, cardinalities = RUN_CASES[case]
+        state, _ = partition_state(labels, prior, like_config, cardinalities)
+        for i in range(state.n):
+            assert math.isfinite(new_cluster_logw(state, i)), i
+
+    @pytest.mark.parametrize("prior", [small_prior(cap=5, n=40), EppParams(3.0)],
+                             ids=["bbap", "epp"])
+    def test_finite_through_a_chain(self, prior):
+        rng = np.random.default_rng(5)
+        values = rng.integers(0, 4, size=(40, 4))
+        state = ChainState(make_dataset(values, cardinalities=(4, 4, 4, 4)), prior,
+                           LikelihoodConfig(), rng)
+        for _ in range(30):
+            reallocation_pass(state, rng)
+            state.resample_entities(rng)
+            state.resample_distortion(rng)
+            for i in range(state.n):
+                assert math.isfinite(new_cluster_logw(state, i)), i
+        assert state.max_cluster_size() > 1
 
 
 def loop_record_loglik(x, y, psi, freqs):
@@ -495,9 +540,10 @@ def sequential_chaperones_step(state, pair, rng, inner_sweeps):
         for u, loglik in zip(restricted, logliks):
             state._remove_record(u)
             join, _ = priors._realloc_log_factors(state.size_counts, state.n - 1, state.prior)
-            choice = mcmc._sample_from_logw(join[state.sizes[targets]] + loglik, rng, -1)
-            if choice < 0:
+            logw = join[state.sizes[targets]] + loglik
+            if logw.max() == -np.inf:
                 raise RuntimeError("restricted move found no admissible target")
+            choice = mcmc._sample_from_logw(logw, rng)
             state._insert_record(u, int(targets[choice]), rng)
 
 

@@ -510,6 +510,19 @@ class TestClosedFormFactors:
                 assert math.isclose(join[s], value, abs_tol=1e-9)
 
     @pytest.mark.parametrize(
+        "params",
+        [BbapParams(cap=3, a=(1.4, 0.8), b=(2.0, 3.5)),
+         BbapParams(cap=4, a=(0.05, 20.0, 0.05), b=(20.0, 0.05, 0.05))],
+        ids=["cap3", "cap4-extreme-shapes"],
+    )
+    def test_new_cluster_factor_is_finite(self, params):
+        # the sampler's reallocation draws assume a new cluster is always admissible
+        for n in range(1, 9):
+            for reduced in enumerate_partitions(n, params.cap):
+                _, new = _realloc_log_factors(np.bincount(reduced.cluster_sizes()), n, params)
+                assert math.isfinite(new), reduced.assignments
+
+    @pytest.mark.parametrize(
         "counts, params",
         [
             ([0, 1, 0, 0, 1], BbapParams(cap=3, a=(1.0, 1.0), b=(1.0, 1.0))),
