@@ -139,9 +139,10 @@ def make_dataset(
     return Dataset(values, cardinalities, tuple(field_names), freqs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistortionState:
-    """Per-field distortion probabilities and their Beta prior."""
+    """Per-field distortion probabilities and their Beta prior; frozen, as a
+    chain rebuilds its pattern tables only for a new state."""
 
     psi: np.ndarray
     prior_a: np.ndarray
@@ -453,23 +454,19 @@ def _gumbel_argmax(logits: np.ndarray, u: np.ndarray) -> np.ndarray:
 def resample_distortion(
     values: np.ndarray,
     entity_rows: np.ndarray,
-    freqs: list[np.ndarray],
+    record_freqs: np.ndarray,
     state: DistortionState,
     rng: np.random.Generator,
-    record_freqs: np.ndarray | None = None,
 ) -> DistortionState:
     """Redraw indicators then distortion probabilities from their conditionals.
 
     A mismatch between record and entity forces the indicator on; matches
     toggle it with the posterior odds of a coincidental agreement.  The
     probabilities are then Beta with the indicator totals added.
-    record_freqs, if given, is the records' reference frequencies
-    (Dataset.record_freqs), which are otherwise computed from freqs.
+    record_freqs is the records' reference frequencies (Dataset.record_freqs).
     """
     n, n_fields = values.shape
     mismatch = values != entity_rows
-    if record_freqs is None:
-        record_freqs = _record_freqs(values, freqs)
     scaled = state.psi[None, :] * record_freqs
     p_on = scaled / (scaled + (1.0 - state.psi)[None, :])
     indicators = mismatch | (rng.random((n, n_fields)) < p_on)

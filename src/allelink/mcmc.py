@@ -29,7 +29,7 @@ from .priors import BbapParams, PriorParams
 
 NEG_INF = float("-inf")
 _NEW = -1
-# reallocation-factor entries a bbap chain keeps before its cache is cleared
+# size-count vectors a bbap chain caches factors for before it clears the cache
 FACTOR_CACHE_ENTRIES = 100_000
 # (records x clusters) entries a full pass scores in one block: 16 KB of doubles
 RUN_ENTRIES = 2048
@@ -146,7 +146,8 @@ class ChainState:
         self.dataset = dataset
         self.prior = prior
         n, n_fields = dataset.n, dataset.n_fields
-        self.cap = prior.cap if isinstance(prior, BbapParams) else n
+        self._bounded = isinstance(prior, BbapParams)
+        self.cap = prior.cap if self._bounded else n
         self.freqs = dataset.freqs
         # log_joint's field-major inputs: the record values and reference
         # frequencies, and every field's log frequencies in one vector
@@ -186,11 +187,15 @@ class ChainState:
         self._planes.fill(self.entities)
         self._plane_rows = self._planes.record_rows(dataset.values)
         # per-record pattern log likelihoods, rebuilt after self.distortion is
-        # replaced (the sampler swaps in a new DistortionState, never edits one)
+        # replaced (a DistortionState is frozen, so the sampler swaps in a new one)
         self._tables: np.ndarray | None = None
         self._tables_for: DistortionState | None = None
+        # bbap factors are cached by size counts; EPP factors depend on n alone,
+        # so an EPP chain computes its one row here, from n - 1 singletons
         self._factor_cache: dict[bytes, tuple[np.ndarray, float]] = {}
-        self._bounded = isinstance(prior, BbapParams)
+        self._epp_factors = None if self._bounded else priors._realloc_log_factors(
+            np.array([0, n - 1]), n - 1, prior
+        )
         # reallocate_record's log weights, one per cluster plus a new one
         self._logw = np.empty(n + 1)
 
@@ -250,28 +255,28 @@ class ChainState:
             self.size_counts[s + 1] += 1
         self.assign[i] = target
 
-    def _prior_factors(self, counts: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-        """The reallocation factors of the given size counts (the current
-        ones by default), from the cache or computed and cached; the moves
-        read a hit inline."""
-        counts = self.size_counts if counts is None else counts
-        # EPP factors depend on n alone, so an EPP chain keeps one entry
-        key = counts.tobytes() if self._bounded else b""
+    def _factors(self, counts: np.ndarray) -> tuple[np.ndarray, float]:
+        """The reallocation factors (join, new) of the given reduced size
+        counts: an EPP chain's one row, or a bbap chain's cache entry, computed
+        on a miss; bbap counts outside the prior's support raise ValueError."""
+        if not self._bounded:
+            return self._epp_factors
+        key = counts.tobytes()
         hit = self._factor_cache.get(key)
         if hit is None:
-            hit = priors._realloc_log_factors(counts, int(self.n - 1), self.prior)
+            hit = priors._realloc_log_factors(counts, self.n - 1, self.prior)
             if len(self._factor_cache) >= FACTOR_CACHE_ENTRIES:
                 self._factor_cache.clear()
             self._factor_cache[key] = hit
         return hit
 
     def _factors_without(self, size: int) -> tuple[np.ndarray, float]:
-        """The reallocation factors once a record leaves a cluster of the
-        given size (at least 2), as _remove_record leaves the size counts."""
+        """_factors of the size counts that _remove_record leaves once a
+        record leaves a cluster of the given size (at least 2)."""
         counts = self.size_counts.copy()
         counts[size] -= 1
         counts[size - 1] += 1
-        return self._prior_factors(counts)
+        return self._factors(counts)
 
     def _pattern_tables(self) -> np.ndarray:
         if self._tables_for is not self.distortion:
@@ -284,9 +289,7 @@ class ChainState:
     def reallocate_record(self, i: int, rng: np.random.Generator) -> None:
         """One collapsed Gibbs update of a single record's assignment."""
         self._remove_record(i)
-        join, new = self._factor_cache.get(
-            self.size_counts.tobytes() if self._bounded else b""
-        ) or self._prior_factors()
+        join, new = self._factors(self.size_counts)
         k = self.n_clusters
         logw = self._logw[: k + 1]
         if k:
@@ -316,9 +319,9 @@ class ChainState:
         record that moves or opens a cluster is applied and ends the run.
         A singleton, or a run of one, takes reallocate_record.
 
-        Runs are an EPP path: the EPP factor row depends on n alone, so one
-        row serves every record of a run, while a bbap row depends on the
-        size counts each removal leaves.
+        Runs are an EPP path: they read the chain's one EPP factor row,
+        which depends on n alone and so serves every record of a run, while
+        a bbap row depends on the size counts each removal leaves.
         """
         assign, sizes = self.assign, self.sizes
         k = self.n_clusters
@@ -330,8 +333,7 @@ class ChainState:
             self.reallocate_record(i, rng)
             return i + 1
         own = assign[i:j]
-        # EPP factors depend on n alone: the first record's row is every record's
-        join, new = self._factors_without(sizes.item(assign.item(i)))
+        join, new = self._epp_factors
         scores = lik.entity_logliks(
             self.dataset.values[i:j], self.entities[:k], self._planes,
             self._plane_rows[i:j], self._pattern_tables()[i:j],
@@ -378,9 +380,7 @@ class ChainState:
         update's uniform, used as _sample_from_logw uses its draw.
         """
         self._remove_record(i)
-        join, _ = self._factor_cache.get(
-            self.size_counts.tobytes() if self._bounded else b""
-        ) or self._prior_factors()
+        join, _ = self._factors(self.size_counts)
         logw = join.take(self.sizes.take(targets)) + logliks
         top = np.maximum.reduce(logw)
         if top == NEG_INF:
@@ -405,8 +405,7 @@ class ChainState:
             return
         entity_rows = self.entities[self.assign]
         self.distortion = lik.resample_distortion(
-            self.dataset.values, entity_rows, self.freqs, self.distortion, rng,
-            self.dataset.record_freqs,
+            self.dataset.values, entity_rows, self.dataset.record_freqs, self.distortion, rng
         )
 
     # -- densities & checks ----------------------------------------------
@@ -641,7 +640,6 @@ def _run_one_chain(
 
     each_sweep, if given, is called with no arguments before every sweep.
     """
-    bounded = isinstance(prior, BbapParams)
     rows, snapshots = [], []
     rng = np.random.default_rng(seed)
     state = ChainState(dataset, prior, like_config, rng)
@@ -660,10 +658,10 @@ def _run_one_chain(
             state.consistency_check()
         if it < config.burn_in or (it - config.burn_in) % config.thin != 0:
             continue
-        if bounded and state.max_cluster_size() > prior.cap:
+        if state._bounded and state.max_cluster_size() > prior.cap:
             raise RuntimeError("bounded prior violated: cluster exceeds the cap")
         counts = state.size_counts[1 : state.cap + 1]
-        if not bounded:
+        if not state._bounded:
             last = int(np.max(np.nonzero(counts)[0])) + 1 if counts.any() else 1
             counts = counts[:last]
         row = {

@@ -442,22 +442,6 @@ class TestEntityDrawStream:
         assert stub.sizes == [4, 2, 1]
 
 
-class TestResampleDistortionRecordFreqs:
-    def test_given_record_freqs_draw_the_same(self, rng):
-        dims = (2, 12, 31)
-        values = np.column_stack([rng.integers(0, d, size=40) for d in dims])
-        ds = make_dataset(values, cardinalities=dims)
-        entity_rows = values.copy()
-        entity_rows[::3, 1] = (entity_rows[::3, 1] + 1) % 12
-        state = DistortionState(np.array([0.05, 0.2, 0.01]), np.ones(3), np.full(3, 9.0))
-        computed, given = np.random.default_rng(8), np.random.default_rng(8)
-        for _ in range(5):
-            a = resample_distortion(values, entity_rows, ds.freqs, state, computed)
-            b = resample_distortion(values, entity_rows, ds.freqs, state, given, ds.record_freqs)
-            assert np.array_equal(a.psi, b.psi)
-        assert computed.bit_generator.state == given.bit_generator.state
-
-
 class TestResampleDistortion:
     def test_mismatch_forces_indicator(self, rng):
         # every record mismatches its entity, so every indicator is on and
@@ -465,9 +449,9 @@ class TestResampleDistortion:
         values = np.array([[0], [1], [0]])
         entity_rows = np.array([[1], [0], [1]])
         state = DistortionState(np.array([0.05]), np.array([1.0]), np.array([2.0]))
-        freqs = [np.array([0.5, 0.5])]
+        record_freqs = likelihood._record_freqs(values, [np.array([0.5, 0.5])])
         draws = [
-            resample_distortion(values, entity_rows, freqs, state, rng).psi[0]
+            resample_distortion(values, entity_rows, record_freqs, state, rng).psi[0]
             for _ in range(2000)
         ]
         assert stats.kstest(draws, stats.beta(1.0 + 3, 2.0).cdf).pvalue > 1e-3
@@ -479,9 +463,9 @@ class TestResampleDistortion:
         entity_rows = np.zeros((50, 1), dtype=int)
         a, b = beta_from_mean_sd(0.01, 0.01)
         state = DistortionState(np.array([1e-4]), np.array([a]), np.array([b]))
-        freqs = [np.array([0.9, 0.1])]
+        record_freqs = likelihood._record_freqs(values, [np.array([0.9, 0.1])])
         draws = [
-            resample_distortion(values, entity_rows, freqs, state, rng).psi[0]
+            resample_distortion(values, entity_rows, record_freqs, state, rng).psi[0]
             for _ in range(2000)
         ]
         # indicators are almost never on, so the posterior is nearly the prior
@@ -525,9 +509,10 @@ class TestResampleDistortion:
         )
 
         state = DistortionState(np.array([0.5]), np.array([a0]), np.array([b0]))
+        record_freqs = likelihood._record_freqs(values, freqs)
         draws = []
         for _ in range(20_000):
-            state = resample_distortion(values, entity_rows, freqs, state, rng)
+            state = resample_distortion(values, entity_rows, record_freqs, state, rng)
             draws.append(state.psi[0])
         draws = np.array(draws[200:])
         assert abs(draws.mean() - exact_mean) < 0.01

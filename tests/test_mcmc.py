@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -475,7 +476,7 @@ def new_cluster_logw(state, i):
     computed on a copy."""
     ref = copy.deepcopy(state)
     ref._remove_record(i)
-    _, new = ref._prior_factors()
+    _, new = ref._factors(ref.size_counts)
     return new + ref._new_logliks[i]
 
 
@@ -802,11 +803,14 @@ class TestRunChain:
     def test_epp_chain_keeps_one_factor_entry(self, rng):
         ds = small_dataset()
         state = ChainState(ds, EppParams(5.0), LikelihoodConfig(psi_fixed=0.05), rng)
+        row = state._factors(state.size_counts)
         before = state.size_counts.copy()
         reallocation_pass(state, rng)
-        # the factors depend on n alone, so changed counts add no entry
+        # the factors depend on n alone, so changed counts read the same row
+        # and the cache, which only bbap chains fill, stays empty
         assert not np.array_equal(state.size_counts, before)
-        assert len(state._factor_cache) == 1
+        assert state._factors(state.size_counts) is row
+        assert not state._factor_cache
 
     def test_bbap_factor_cache_stays_within_its_entry_bound(self, rng, monkeypatch):
         ds = small_dataset()
@@ -821,10 +825,75 @@ class TestRunChain:
         monkeypatch.setattr(priors, "_realloc_log_factors", stub)
         for step in range(20):
             state.size_counts[1] = step  # a fresh key every time
-            state._prior_factors()
+            state._factors(state.size_counts)
             assert 1 <= len(state._factor_cache) <= 3
         # every fresh state is a miss and is recomputed
         assert len(calls) == 20
+
+
+class TestFactorsDecidedOnce:
+    """A chain's reallocation factors answer a given size-count vector the
+    same way whatever the chain has computed before."""
+
+    @staticmethod
+    def answer(state, counts):
+        try:
+            join, new = state._factors(counts)
+        except ValueError:
+            return None
+        return join.tolist(), new
+
+    @pytest.mark.parametrize("prior", [small_prior(), EppParams(5.0)], ids=["bbap", "epp"])
+    def test_fresh_and_used_states_agree(self, prior):
+        ds = small_dataset()
+        fresh = ChainState(ds, prior, LikelihoodConfig(psi_fixed=0.05), np.random.default_rng(3))
+        used = copy.deepcopy(fresh)
+        used.reallocate_record(0, np.random.default_rng(4))
+        # all singletons, and the same state once record 0 has left
+        unreduced = fresh.size_counts.copy()
+        reduced = unreduced.copy()
+        reduced[1] -= 1
+        # the unreduced counts go first, before the fresh state has
+        # computed anything
+        for counts in (unreduced, reduced):
+            assert self.answer(fresh, counts) == self.answer(used, counts)
+        row = self.answer(fresh, reduced)
+        assert row is not None
+        if isinstance(prior, EppParams):
+            # the row depends on n alone
+            assert self.answer(fresh, unreduced) == row
+        else:
+            for state in (fresh, used):
+                with pytest.raises(ValueError, match="outside the prior support"):
+                    state._factors(unreduced)
+
+    def test_epp_chain_computes_its_row_once(self, monkeypatch):
+        calls = []
+        compute = priors._realloc_log_factors
+
+        def counted(*args):
+            calls.append(1)
+            return compute(*args)
+
+        monkeypatch.setattr(priors, "_realloc_log_factors", counted)
+        rng = np.random.default_rng(6)
+        values = rng.integers(0, 3, size=(30, 3))
+        ds = make_dataset(values, cardinalities=(3, 3, 3))
+        state = ChainState(ds, EppParams(2.0), LikelihoodConfig(), rng)
+        reallocation_pass(state, rng)
+        # a pair that shares no cluster, with a clustermate to move
+        i = next(i for i in range(state.n) if state.sizes[state.assign[i]] > 1)
+        j = next(j for j in range(state.n) if state.assign[j] != state.assign[i])
+        chaperones_step(state, FixedPair(i, j), rng)
+        assert len(calls) == 1
+
+
+def test_distortion_state_is_frozen(rng):
+    # the pattern tables are rebuilt only for a new DistortionState, so an
+    # edited field would leave them stale
+    state = ChainState(small_dataset(), small_prior(), LikelihoodConfig(), rng)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.distortion.psi = np.full(state.dataset.n_fields, 0.5)
 
 
 needs_fork = pytest.mark.skipif(
